@@ -98,16 +98,18 @@ var BlockingFuncs = map[string]bool{
 	// write; the durable WAL's own w.mu serializing its buffered
 	// appends is the one audited design exception (see
 	// internal/durable's package doc).
-	"met/internal/durable.OpenWAL":       true,
-	"met/internal/durable.syncFile":      true,
-	"met/internal/durable.syncDir":       true,
-	"met/internal/durable.walSyncFile":   true,
-	"met/internal/durable.walRemoveFile": true,
-	"met/internal/durable.writeSSTable":  true,
-	"met/internal/durable.openSSTable":   true,
-	"met/internal/durable.WriteTailFile": true,
-	"met/internal/durable.ReadTailFile":  true,
-	"met/internal/replication.CopyFile":  true,
+	"met/internal/durable.OpenWAL":        true,
+	"met/internal/durable.syncFile":       true,
+	"met/internal/durable.syncDir":        true,
+	"met/internal/durable.walSyncFile":    true,
+	"met/internal/durable.walRemoveFile":  true,
+	"met/internal/durable.writeSSTable":   true,
+	"met/internal/durable.openSSTable":    true,
+	"met/internal/durable.WriteTailFile":  true,
+	"met/internal/durable.AppendTailFile": true,
+	"met/internal/durable.ReadTailFile":   true,
+	"met/internal/replication.CopyFile":   true,
+	"met/internal/replication.appendTail": true,
 
 	"(met/internal/kv.WAL).Append":            true,
 	"(met/internal/durable.WAL).Append":       true,

@@ -46,8 +46,9 @@
 // and fsyncs once for every record buffered so far — across all regions
 // (group commit), so N concurrent writers pay ~1 fsync, not N. With
 // KeepTail enabled the log also retains its durable-but-unflushed
-// records in memory (SyncedTail), the frame stream tail-streaming ships
-// to follower replicas.
+// records in memory, indexed per region by sequence number (TailAfter),
+// so tail streaming can ship each follower only the records synced
+// since its last ship.
 //
 // # SSTable format
 //
@@ -150,17 +151,19 @@ type Options struct {
 	// Backend.Log return nil.
 	ExternalWAL bool
 	// KeepTail retains durable-but-unflushed records in memory so
-	// WAL.SyncedTail can hand the replicator a tail frame stream to ship
-	// to followers. Memory cost is bounded by the unflushed working set
-	// (the same records sit in the memstores).
+	// WAL.TailAfter can hand the replicator the records synced since its
+	// last ship to a follower. Memory cost is bounded by the unflushed
+	// working set (the same records sit in the memstores).
 	KeepTail bool
 	// OnSynced, when non-nil, is called after each successful
 	// commit-path fsync with the regions whose records gained coverage
 	// and how many records each contributed since the previous good
 	// round — the replicator's cue that fresh tail is shippable, and the
-	// record counts its bounded-lag floor accumulates. Called without
-	// internal locks held; it must not block for long (it runs on a
-	// committing writer's goroutine). Rotation-covered records are
+	// record counts its bounded-lag floor accumulates. It runs once the
+	// round is credited, so WAL.TailAfter already returns the reported
+	// records. Called without internal locks held; it must not block
+	// for long (it runs on the committing leader's goroutine, before
+	// its own commit returns). Rotation-covered records are
 	// reported with the next fsync, so a quiesce must reconcile
 	// explicitly rather than wait for a callback.
 	OnSynced func(regions map[string]int)

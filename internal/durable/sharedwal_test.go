@@ -297,8 +297,10 @@ func TestSharedWALFailedFsyncNotCounted(t *testing.T) {
 	}
 }
 
-// SyncedTail hands the replicator exactly the durable-but-unflushed
-// records: nothing before the fsync, evicted by flush truncation.
+// The synced tail hands the replicator exactly the durable-but-unflushed
+// records: nothing before the fsync, only records after the caller's
+// cursor, evicted by flush truncation — which, alone, moves the
+// generation.
 func TestSharedWALSyncedTailLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, Options{KeepTail: true})
@@ -311,24 +313,52 @@ func TestSharedWALSyncedTailLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tail := h.SyncedTail(); len(tail) != 0 {
+	if tail := h.TailAfter(0).Entries; len(tail) != 0 {
 		t.Fatalf("unsynced record already in tail: %+v", tail)
 	}
 	if err := commit(); err != nil {
 		t.Fatal(err)
 	}
-	tail := h.SyncedTail()
-	if len(tail) != 1 || tail[0].Timestamp != 1 {
-		t.Fatalf("synced tail = %+v, want the one committed record", tail)
+	first := h.TailAfter(0)
+	if len(first.Entries) != 1 || first.Entries[0].Timestamp != 1 || first.Last == 0 {
+		t.Fatalf("synced tail = %+v, want the one committed record", first)
 	}
-	// Another region's flush must not evict it.
+	// A read from the cursor returns only what was synced since.
+	if err := h.Append(regionEntry("r", 2)); err != nil {
+		t.Fatal(err)
+	}
+	next := h.TailAfter(first.Last)
+	if len(next.Entries) != 1 || next.Entries[0].Timestamp != 2 || next.Last <= first.Last {
+		t.Fatalf("read after cursor %d = %+v, want only the second record", first.Last, next)
+	}
+	if again := h.TailAfter(next.Last); len(again.Entries) != 0 || again.Last != next.Last {
+		t.Fatalf("read at the head = %+v, want nothing and the same cursor", again)
+	}
+	if next.Gen != first.Gen {
+		t.Fatalf("appends moved the generation: %d -> %d", first.Gen, next.Gen)
+	}
+	// Another region's flush must not evict anything or move the
+	// generation.
 	w.Region("other").Truncate(99)
-	if tail := h.SyncedTail(); len(tail) != 1 {
-		t.Fatalf("foreign truncate evicted tail: %+v", tail)
+	if tail := h.TailAfter(0); len(tail.Entries) != 2 || tail.Gen != first.Gen {
+		t.Fatalf("foreign truncate changed tail: %+v", tail)
 	}
 	// Our flush does.
 	h.Truncate(1)
-	if tail := h.SyncedTail(); len(tail) != 0 {
+	tail := h.TailAfter(0)
+	if len(tail.Entries) != 1 || tail.Entries[0].Timestamp != 2 {
+		t.Fatalf("tail after flushing ts 1 = %+v, want only ts 2", tail)
+	}
+	if tail.Gen == first.Gen {
+		t.Fatal("a truncation that removed records kept the generation")
+	}
+	// A truncation that removes nothing keeps it.
+	h.Truncate(1)
+	if g := h.TailAfter(0).Gen; g != tail.Gen {
+		t.Fatalf("no-op truncation moved the generation: %d -> %d", tail.Gen, g)
+	}
+	h.Truncate(2)
+	if tail := h.TailAfter(0).Entries; len(tail) != 0 {
 		t.Fatalf("flushed record still in tail: %+v", tail)
 	}
 }
@@ -363,16 +393,30 @@ func TestSharedWALTailSurvivesReopen(t *testing.T) {
 	}
 	defer w2.Close()
 	h2 := w2.Region("r")
-	tail := h2.SyncedTail()
+	tail := h2.TailAfter(0).Entries
 	if len(tail) != 4 {
 		t.Fatalf("reopened tail has %d records, want the 4 unflushed ones", len(tail))
 	}
-	if got := w2.SyncedTail("gone"); len(got) != 0 {
+	// Recovered records carry real, increasing sequence numbers, below
+	// every new append: a cursor inside them reads only what follows.
+	if got := h2.TailAfter(2).Entries; len(got) != 2 || got[0].Timestamp != 3 {
+		t.Fatalf("read after the second recovered record = %+v, want records 3 and 4", got)
+	}
+	if err := h2.Append(regionEntry("r", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if got := h2.TailAfter(h2.TailAfter(0).Last - 1).Entries; len(got) != 1 || got[0].Timestamp != 5 {
+		t.Fatalf("newest record after reopen = %+v, want the fresh append", got)
+	}
+	if n := w2.Appends(); n != 1 {
+		t.Fatalf("Appends after reopen = %d, want 1 (recovered frames are not appends)", n)
+	}
+	if got := w2.TailAfter("gone", 0).Entries; len(got) != 0 {
 		t.Fatalf("dropped region resurfaced in reopened tail: %+v", got)
 	}
 	// A flush truncation still evicts recovered records.
-	h2.Truncate(4)
-	if tail := h2.SyncedTail(); len(tail) != 0 {
+	h2.Truncate(5)
+	if tail := h2.TailAfter(0).Entries; len(tail) != 0 {
 		t.Fatalf("flushed recovered records still in tail: %+v", tail)
 	}
 }
@@ -430,6 +474,52 @@ func TestTailFileRoundtripAndTornFrame(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("empty tail write left the file behind: %v", err)
+	}
+}
+
+// AppendTailFile creates a missing tail file and extends an existing
+// one; a frame appended behind a torn one is invisible to replay, which
+// is why a failed append must be followed by a rewrite.
+func TestAppendTailFile(t *testing.T) {
+	path := TailFilePath(t.TempDir())
+	var want []kv.Entry
+	for i := 1; i <= 3; i++ {
+		want = append(want, regionEntry("r", i))
+	}
+	if _, err := AppendTailFile(path, want[:1], false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AppendTailFile(path, want[1:], false); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := AppendTailFile(path, nil, false); n != 0 || err != nil {
+		t.Fatalf("empty append wrote %d bytes, err %v", n, err)
+	}
+	got, torn, err := ReadTailFile(path)
+	if err != nil || torn || len(got) != len(want) {
+		t.Fatalf("after appends: %d records, torn=%v, err=%v; want %d clean", len(got), torn, err, len(want))
+	}
+	for i := range want {
+		if got[i].Timestamp != want[i].Timestamp || got[i].Key != want[i].Key {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	// Half a frame, as a failed write leaves it, then a good append.
+	frame := encodeRecord("", regionEntry("r", 4), false)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame[:len(frame)/2]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := AppendTailFile(path, []kv.Entry{regionEntry("r", 5)}, false); err != nil {
+		t.Fatal(err)
+	}
+	got, torn, err = ReadTailFile(path)
+	if err != nil || !torn || len(got) != len(want) {
+		t.Fatalf("after a torn frame: %d records, torn=%v, err=%v; want the %d before it", len(got), torn, err, len(want))
 	}
 }
 

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,10 +29,12 @@ type blockSpan struct {
 }
 
 // writeSSTable persists sorted entries as one SSTable at path, atomically
-// (write to temp, fsync, rename, fsync dir). Blocks are packed with the
-// same rule as the in-memory backend. It returns the file's metadata with
-// Bytes set to the real on-disk size. written, when non-nil, accumulates
-// the physical bytes (backend I/O accounting). maxTSFloor raises the
+// (write to temp, fsync, rename). Blocks are packed with the same rule
+// as the in-memory backend and streamed through a buffered writer as
+// they are encoded; only the block index, bloom filter and properties
+// are assembled in memory. It returns the file's metadata with Bytes
+// set to the real on-disk size. written, when non-nil, accumulates the
+// physical bytes (backend I/O accounting). maxTSFloor raises the
 // recorded max-timestamp property (see Backend.CreateWithMaxTS).
 func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options, written *atomic.Int64, maxTSFloor uint64) (kv.FileMeta, error) {
 	blocks, meta := kv.PackBlocks(entries, blockBytes)
@@ -39,23 +42,63 @@ func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options,
 		meta.MaxTS = maxTSFloor
 	}
 
-	var buf []byte
-	buf = append(buf, sstMagic...)
-	buf = append(buf, sstVersion)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return kv.FileMeta{}, err
+	}
+	w := bufio.NewWriterSize(meteredWriter{w: f, count: written}, sstWriteBuffer)
+	size := encodeSSTable(w, blocks, meta, entries, opts.BitsPerKey)
+	err = w.Flush()
+	if err == nil {
+		err = syncFile(f, opts.NoSync)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return kv.FileMeta{}, err
+	}
+	meta.Bytes = size
+	return meta, nil
+}
+
+// sstWriteBuffer is the buffered writer size SSTable builds stream
+// through.
+const sstWriteBuffer = 64 << 10
+
+// encodeSSTable writes the SSTable format to w and returns the file
+// size: header, each data block followed by its CRC32C, then the block
+// index, bloom filter, properties and footer. Write errors are sticky
+// in the bufio.Writer and surface at the caller's Flush.
+func encodeSSTable(w *bufio.Writer, blocks []*kv.Block, meta kv.FileMeta, entries []kv.Entry, bitsPerKey int) int {
+	w.WriteString(sstMagic)
+	w.WriteByte(sstVersion)
+	off := sstHeaderSize
 
 	spans := make([]blockSpan, 0, len(blocks))
+	var sum [4]byte
 	for _, b := range blocks {
 		payload := kv.EncodeBlock(b.Entries())
+		binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
+		w.Write(payload)
+		w.Write(sum[:])
 		spans = append(spans, blockSpan{
 			firstKey: b.Entries()[0].Key,
-			off:      uint64(len(buf)),
+			off:      uint64(off),
 			length:   uint64(len(payload) + 4),
 		})
-		buf = append(buf, payload...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+		off += len(payload) + 4
 	}
 
-	indexOff := len(buf)
+	// The trailing sections are small; buf holds them at their final
+	// file offsets (off + position in buf).
+	var buf []byte
+	indexOff := off
 	buf = binary.AppendUvarint(buf, uint64(len(spans)))
 	for _, sp := range spans {
 		buf = binary.AppendUvarint(buf, uint64(len(sp.firstKey)))
@@ -63,58 +106,32 @@ func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options,
 		buf = binary.AppendUvarint(buf, sp.off)
 		buf = binary.AppendUvarint(buf, sp.length)
 	}
-	indexLen := len(buf) - indexOff
+	indexLen := len(buf)
 
-	bloom := newBloomFilter(distinctKeys(entries), opts.BitsPerKey)
+	bloom := newBloomFilter(distinctKeys(entries), bitsPerKey)
 	for _, e := range entries {
 		bloom.add(e.Key)
 	}
-	bloomOff := len(buf)
+	bloomOff := off + len(buf)
 	buf = append(buf, bloom.marshal()...)
-	bloomLen := len(buf) - bloomOff
+	bloomLen := off + len(buf) - bloomOff
 
-	propsOff := len(buf)
+	propsOff := off + len(buf)
 	buf = binary.AppendUvarint(buf, uint64(meta.Entries))
 	buf = binary.AppendUvarint(buf, meta.MaxTS)
 	buf = binary.AppendUvarint(buf, uint64(len(meta.MinKey)))
 	buf = append(buf, meta.MinKey...)
 	buf = binary.AppendUvarint(buf, uint64(len(meta.MaxKey)))
 	buf = append(buf, meta.MaxKey...)
-	propsLen := len(buf) - propsOff
+	propsLen := off + len(buf) - propsOff
 
-	footer := make([]byte, 0, sstFooterSize)
 	for _, v := range []int{indexOff, indexLen, bloomOff, bloomLen, propsOff, propsLen} {
-		footer = binary.LittleEndian.AppendUint32(footer, uint32(v))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	footer = append(footer, make([]byte, 16)...) // reserved
-	footer = append(footer, sstFooterMagic...)
-	buf = append(buf, footer...)
-
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return kv.FileMeta{}, err
-	}
-	if _, err := (meteredWriter{w: f, count: written}).Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return kv.FileMeta{}, err
-	}
-	if err := syncFile(f, opts.NoSync); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return kv.FileMeta{}, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return kv.FileMeta{}, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return kv.FileMeta{}, err
-	}
-	meta.Bytes = len(buf)
-	return meta, nil
+	buf = append(buf, make([]byte, 16)...) // reserved
+	buf = append(buf, sstFooterMagic...)
+	w.Write(buf)
+	return off + len(buf)
 }
 
 // distinctKeys counts key changes in a sorted entry run (bloom sizing).

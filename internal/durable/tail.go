@@ -14,11 +14,27 @@ import (
 // the standard segment format; Master.RecoverServer replays it over the
 // replica SSTables so a failover loses at most the unsynced in-flight
 // window instead of the whole memstore.
+//
+// The file grows by appends (AppendTailFile): each ship adds only the
+// records synced since the previous one. It may also hold records a
+// flush has since moved into an SSTable — replay skips what the files
+// cover — and it shrinks only when it is rewritten whole
+// (WriteTailFile): on the first ship to a directory, after a failed
+// append, and when a reconcile drops flushed records whose SSTables it
+// has already copied into the same directory.
 const TailFileName = "wal-tail.log"
 
 // TailFilePath returns the tail file's path inside a replica directory.
 func TailFilePath(replicaDir string) string {
 	return filepath.Join(replicaDir, TailFileName)
+}
+
+// encodeTail appends the frames of a tail file holding entries to buf.
+func encodeTail(buf []byte, entries []kv.Entry) []byte {
+	for _, e := range entries {
+		buf = append(buf, encodeRecord("", e, false)...)
+	}
+	return buf
 }
 
 // WriteTailFile atomically replaces path with a tail file holding
@@ -35,10 +51,7 @@ func WriteTailFile(path string, entries []kv.Entry, noSync bool) (int64, error) 
 		}
 		return 0, syncDir(filepath.Dir(path), noSync)
 	}
-	buf := append([]byte(walMagic), walVersion)
-	for _, e := range entries {
-		buf = append(buf, encodeRecord("", e, false)...)
-	}
+	buf := encodeTail(append([]byte(walMagic), walVersion), entries)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -63,6 +76,38 @@ func WriteTailFile(path string, entries []kv.Entry, noSync bool) (int64, error) 
 		return 0, err
 	}
 	if err := syncDir(filepath.Dir(path), noSync); err != nil {
+		return 0, err
+	}
+	return int64(len(buf)), nil
+}
+
+// AppendTailFile appends entries to the tail file at path and fsyncs
+// it; a missing file is created as by WriteTailFile. It returns the
+// physical bytes written. The file must end on a whole frame: replay
+// stops at the first torn frame, so anything appended after one is
+// invisible. After a failed append — which may have left part of a
+// frame behind — the caller must rewrite the file with WriteTailFile
+// before appending to it again.
+func AppendTailFile(path string, entries []kv.Entry, noSync bool) (int64, error) {
+	if len(entries) == 0 {
+		return 0, nil
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if os.IsNotExist(err) {
+		return WriteTailFile(path, entries, noSync)
+	}
+	if err != nil {
+		return 0, err
+	}
+	buf := encodeTail(nil, entries)
+	_, err = f.Write(buf)
+	if err == nil {
+		err = syncFile(f, noSync)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return 0, err
 	}
 	return int64(len(buf)), nil

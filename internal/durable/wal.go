@@ -80,12 +80,32 @@ func (s *walSegment) covered(flushed map[string]uint64, dropped map[string]bool)
 }
 
 // tailRec is one unflushed record retained in memory for tail-streaming
-// (Options.KeepTail): the replicator ships the synced prefix of the
-// tail to followers so a failover can replay what the memstore held.
+// (Options.KeepTail), tagged with its log sequence number.
 type tailRec struct {
-	seq    uint64
-	region string
-	e      kv.Entry
+	seq uint64
+	e   kv.Entry
+}
+
+// regionTail is one region's retained synced-or-pending records, in
+// sequence order. gen changes whenever records are removed (a flush
+// truncation or a drop) and never otherwise: a reader that sees the
+// generation it sampled earlier knows no record left in between.
+type regionTail struct {
+	recs []tailRec
+	gen  uint64
+}
+
+// TailChunk is one read of a region's durable-but-unflushed tail (see
+// WAL.TailAfter).
+type TailChunk struct {
+	// Entries are the synced records with sequence numbers above the
+	// read's cursor, oldest first.
+	Entries []kv.Entry
+	// Last is the sequence number of the last record in Entries, or the
+	// cursor when Entries is empty: the cursor for the next read.
+	Last uint64
+	// Gen is the region tail's generation (see regionTail).
+	Gen uint64
 }
 
 // WAL is the segmented, group-committed write-ahead log. One WAL serves
@@ -119,14 +139,18 @@ type WAL struct {
 	activeMaxTS map[string]uint64
 	activeCount int
 	sealed      []walSegment // oldest first
-	seq         uint64       // records buffered so far (monotonic)
+	seq         uint64       // last record sequence number: frames recovered at open, then appends (monotonic)
 	syncs       int64        // successful commit-path sync rounds
 	closed      bool
 
-	flushed map[string]uint64 // per-region flushed high-water marks
-	dropped map[string]bool   // regions whose records a drop marker voids
-	pending map[string]int    // records appended per region since the last good fsync
-	tail    []tailRec         // synced-but-unflushed records (KeepTail)
+	flushed map[string]uint64      // per-region flushed high-water marks
+	dropped map[string]bool        // regions whose records a drop marker voids
+	pending map[string]int         // records appended per region since the last good fsync
+	tails   map[string]*regionTail // unflushed records per region (KeepTail)
+	tailGen uint64                 // last generation handed to a regionTail
+	// seqBase is the number of frames recovered at open: they take
+	// sequence numbers 1..seqBase, so appends count from above them.
+	seqBase uint64
 
 	// bytesAppended counts physical log bytes (frames + segment
 	// headers); appends also report to opts.Account for the shared
@@ -171,6 +195,7 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 		flushed: make(map[string]uint64),
 		dropped: make(map[string]bool),
 		pending: make(map[string]int),
+		tails:   make(map[string]*regionTail),
 	}
 	w.committer.cond = sync.NewCond(&w.committer.mu)
 
@@ -192,6 +217,7 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 		// those records must not pin segments either.
 		_ = readSegment(p, func(r walRecord) {
 			seg.count++
+			w.seq++
 			if r.drop {
 				w.dropped[r.region] = true
 				for i := range w.sealed {
@@ -210,10 +236,11 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 			// restarted server must keep offering them to the replicator,
 			// or an empty post-restart tail ship would revoke the
 			// followers' coverage of records that now exist only in this
-			// server's memstores and its own log. Zero seq keeps them
-			// below every future fsync watermark (immediately shippable).
+			// server's memstores and its own log. They take increasing
+			// sequence numbers below every future append and count as
+			// synced (the committer starts past them).
 			if opts.KeepTail {
-				w.tail = append(w.tail, tailRec{region: r.region, e: r.e})
+				w.appendTailLocked(r.region, w.seq, r.e)
 			}
 		})
 		w.sealed = append(w.sealed, seg)
@@ -221,6 +248,8 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 			maxIdx = idx
 		}
 	}
+	w.seqBase = w.seq
+	w.committer.synced = w.seq
 	if err := w.openSegmentLocked(maxIdx + 1); err != nil {
 		return nil, err
 	}
@@ -410,7 +439,7 @@ func (w *WAL) appendRecord(region string, e kv.Entry, drop bool) (func() error, 
 		if w.opts.KeepTail {
 			cp := e
 			cp.Value = append([]byte(nil), e.Value...)
-			w.tail = append(w.tail, tailRec{seq: seq, region: region, e: cp})
+			w.appendTailLocked(region, seq, cp)
 		}
 	}
 	w.pending[region]++
@@ -469,7 +498,7 @@ func (w *WAL) commitTo(seq uint64) error {
 		}
 		c.leading = true
 		c.mu.Unlock()
-		target, err := w.syncActive()
+		target, regions, err := w.syncActive()
 		c.mu.Lock()
 		c.leading = false
 		if err != nil {
@@ -484,6 +513,13 @@ func (w *WAL) commitTo(seq uint64) error {
 			}
 		}
 		c.cond.Broadcast()
+		if len(regions) > 0 {
+			// Announce the round only once synced covers it, so a tail
+			// reader the callback wakes sees its records.
+			c.mu.Unlock()
+			w.opts.OnSynced(regions)
+			c.mu.Lock()
+		}
 	}
 }
 
@@ -494,9 +530,10 @@ func (w *WAL) commitTo(seq uint64) error {
 //
 // Only successful rounds count toward SyncRounds — the writes/fsync
 // metric measures achieved batching, and a failed fsync durably covered
-// nothing. On success the regions that gained coverage are reported to
-// Options.OnSynced (off-lock), the replicator's cue to ship fresh tail.
-func (w *WAL) syncActive() (uint64, error) {
+// nothing. On success it returns the regions that gained coverage (with
+// Options.OnSynced set), which the leader reports once the round is
+// credited — the replicator's cue to ship fresh tail.
+func (w *WAL) syncActive() (uint64, map[string]int, error) {
 	w.mu.Lock()
 	f := w.active
 	target := w.seq
@@ -519,7 +556,7 @@ func (w *WAL) syncActive() (uint64, error) {
 			w.pending[r] += n
 		}
 		w.mu.Unlock()
-		return target, ErrClosed
+		return target, nil, ErrClosed
 	}
 	syncStart := time.Now()
 	err := walSyncFile(f, w.opts.NoSync)
@@ -536,16 +573,13 @@ func (w *WAL) syncActive() (uint64, error) {
 			w.pending[r] += n
 		}
 		w.mu.Unlock()
-		return target, err
+		return target, nil, err
 	}
 	w.fsyncHist.Since(syncStart)
 	w.mu.Lock()
 	w.syncs++
 	w.mu.Unlock()
-	if len(regions) > 0 {
-		w.opts.OnSynced(regions)
-	}
-	return target, nil
+	return target, regions, nil
 }
 
 // activeCoveredLocked reports whether every record in the active
@@ -563,23 +597,38 @@ func (w *WAL) activeCoveredLocked() bool {
 	return true
 }
 
+// appendTailLocked retains one record in region's tail.
+func (w *WAL) appendTailLocked(region string, seq uint64, e kv.Entry) {
+	rt := w.tails[region]
+	if rt == nil {
+		rt = &regionTail{}
+		w.tails[region] = rt
+	}
+	rt.recs = append(rt.recs, tailRec{seq: seq, e: e})
+}
+
 // dropTailLocked removes region's retained tail records with
-// Timestamp <= upTo.
+// Timestamp <= upTo, moving the tail to a new generation if any went.
 func (w *WAL) dropTailLocked(region string, upTo uint64) {
-	if len(w.tail) == 0 {
+	rt := w.tails[region]
+	if rt == nil {
 		return
 	}
-	kept := w.tail[:0]
-	for _, rec := range w.tail {
-		if rec.region == region && rec.e.Timestamp <= upTo {
-			continue
+	kept := rt.recs[:0]
+	for _, rec := range rt.recs {
+		if rec.e.Timestamp > upTo {
+			kept = append(kept, rec)
 		}
-		kept = append(kept, rec)
 	}
-	for i := len(kept); i < len(w.tail); i++ {
-		w.tail[i] = tailRec{}
+	if len(kept) == len(rt.recs) {
+		return
 	}
-	w.tail = kept
+	for i := len(kept); i < len(rt.recs); i++ {
+		rt.recs[i] = tailRec{}
+	}
+	rt.recs = kept
+	w.tailGen++
+	rt.gen = w.tailGen
 }
 
 // truncateRegion raises region's flushed high-water mark to upTo and
@@ -668,8 +717,10 @@ func (w *WAL) DropAbsent(live map[string]bool) ([]string, error) {
 	for region := range w.activeMaxTS {
 		present[region] = true
 	}
-	for _, rec := range w.tail {
-		present[rec.region] = true
+	for region, rt := range w.tails {
+		if len(rt.recs) > 0 {
+			present[region] = true
+		}
 	}
 	var orphans []string
 	for region := range present {
@@ -809,25 +860,31 @@ func (w *WAL) Entries() []kv.Entry {
 	return entries
 }
 
-// SyncedTail returns region's durable-but-unflushed records: everything
-// an fsync has covered that no flush has truncated yet. This is the
-// frame stream the replicator ships to followers — after a failover the
+// TailAfter returns region's durable-but-unflushed records with
+// sequence numbers above after: everything an fsync has covered that no
+// flush has truncated yet and the caller has not read. This is the frame
+// stream the replicator ships to followers — after a failover the
 // recovering master replays it over the replica SSTables, shrinking the
 // loss window from "whole memstore" to the unsynced in-flight tail.
-// Requires Options.KeepTail.
-func (w *WAL) SyncedTail(region string) []kv.Entry {
+// after = 0 reads the whole synced tail. The cost is proportional to the
+// records returned, not to the tail. Requires Options.KeepTail.
+func (w *WAL) TailAfter(region string, after uint64) TailChunk {
 	c := &w.committer
 	c.mu.Lock()
 	synced := c.synced
 	c.mu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var out []kv.Entry
-	for _, rec := range w.tail {
-		if rec.region != region || rec.seq > synced {
-			continue
-		}
-		out = append(out, rec.e)
+	out := TailChunk{Last: after}
+	rt := w.tails[region]
+	if rt == nil {
+		return out
+	}
+	out.Gen = rt.gen
+	i := sort.Search(len(rt.recs), func(i int) bool { return rt.recs[i].seq > after })
+	for ; i < len(rt.recs) && rt.recs[i].seq <= synced; i++ {
+		out.Entries = append(out.Entries, rt.recs[i].e)
+		out.Last = rt.recs[i].seq
 	}
 	return out
 }
@@ -886,11 +943,11 @@ func (w *WAL) SetAccount(fn func(bytes int)) {
 // BytesAppended returns the physical bytes written to the log so far.
 func (w *WAL) BytesAppended() int64 { return w.bytesAppended.Load() }
 
-// Appends returns the number of records buffered so far.
+// Appends returns the number of records buffered since the log opened.
 func (w *WAL) Appends() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return int64(w.seq)
+	return int64(w.seq - w.seqBase)
 }
 
 // SyncRounds returns how many commit-path sync rounds have succeeded;
@@ -1020,9 +1077,9 @@ func (h *RegionLog) ReplayEntries() ([]kv.Entry, error) {
 	return h.w.replayRegion(h.name)
 }
 
-// SyncedTail returns this region's durable-but-unflushed records (see
-// WAL.SyncedTail).
-func (h *RegionLog) SyncedTail() []kv.Entry { return h.w.SyncedTail(h.name) }
+// TailAfter returns this region's synced, unflushed records above
+// sequence number after (see WAL.TailAfter).
+func (h *RegionLog) TailAfter(after uint64) TailChunk { return h.w.TailAfter(h.name, after) }
 
 var _ kv.GroupWAL = (*WAL)(nil)
 var _ kv.GroupWAL = (*RegionLog)(nil)

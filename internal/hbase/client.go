@@ -33,6 +33,13 @@ func (c *Client) route(table, key string) (*RegionServer, *Region, error) {
 	}
 	host, ok := c.master.HostOf(r.Name())
 	if !ok {
+		// A split may have replaced r between the two reads. Daughters
+		// are assigned before the layout names them, so a fresh lookup
+		// finds a hosted region.
+		r = t.RegionFor(key)
+		host, ok = c.master.HostOf(r.Name())
+	}
+	if !ok {
 		return nil, nil, fmt.Errorf("hbase: region %q unassigned", r.Name())
 	}
 	rs, err := c.master.Server(host)

@@ -38,9 +38,8 @@ type RegionRecovery struct {
 	// tail streaming shipped them after their commit fsync.
 	TailWrites int
 	// TailTorn reports that the shipped tail frame stream ended in a
-	// torn frame (the shipper died mid-rename is impossible — writes are
-	// atomic — but a torn source tail is shipped as-is); the intact
-	// prefix was still replayed.
+	// torn frame — a ship appending to it was cut short by the crash;
+	// the intact prefix was still replayed.
 	TailTorn bool
 	// LostWrites counts the acknowledged mutations the replica did not
 	// cover — after the tail replay, only the unsynced in-flight window.

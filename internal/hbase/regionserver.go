@@ -141,11 +141,11 @@ func ServerWALDir(dataDir, server string) string {
 // walOptionsLocked derives the shared log's options from the server's
 // current pool and replicator. Called while constructing s or holding
 // mu. The OnSynced hook runs off the log's locks after each successful
-// fsync round; it nudges the replicator so freshly durable tail records
-// ship promptly instead of waiting for the next flush, and credits the
-// per-region record counts that drive the bounded-lag tail floor (ship
-// at least every K records / T ms even when the reconcile queue is
-// starved mid-burst).
+// fsync round; it credits the replicator with each region's freshly
+// durable records, which queues a tail ship of just those records
+// (instead of waiting for the next flush) and drives the bounded-lag
+// tail floor (ship at least every K records / T ms even when the worker
+// queue is starved mid-burst).
 func (s *RegionServer) walOptionsLocked() durable.Options {
 	opts := durable.Options{KeepTail: s.replicator != nil}
 	if s.compactor != nil {
@@ -159,7 +159,6 @@ func (s *RegionServer) walOptionsLocked() durable.Options {
 			return
 		}
 		for rn, n := range regions {
-			rep.Notify(rn)
 			rep.NoteTailRecords(rn, n)
 		}
 	}
@@ -419,13 +418,14 @@ func (s *RegionServer) trackReplication(r *Region) {
 		r.Store().SetFilesChanged(nil)
 		return
 	}
-	var tail func() []kv.Entry
+	var tail func(after uint64) durable.TailChunk
 	if w != nil {
-		// Tail streaming: each reconciliation ships the region's
-		// durable-but-unflushed records alongside its SSTables, so a
-		// failover loses at most the unsynced in-flight window.
+		// Tail streaming: the replicator ships the region's
+		// durable-but-unflushed records to its followers alongside its
+		// SSTables, so a failover loses at most the unsynced in-flight
+		// window.
 		name := r.Name()
-		tail = func() []kv.Entry { return w.SyncedTail(name) }
+		tail = func(after uint64) durable.TailChunk { return w.TailAfter(name, after) }
 	}
 	rep.Track(r.Name(),
 		func() ([]kv.ExportedFile, bool) { return r.Store().ExportFiles() },

@@ -119,13 +119,20 @@ func (m *Master) SplitRegion(regionName string) error {
 	// directories become orphans once the split commits.
 	lo.SetFollowers(m.pickFollowers(host))
 	hi.SetFollowers(m.pickFollowers(host))
-	tbl.replaceRegion(parent, lo, hi)
+	// Open and assign the daughters before publishing them: a client
+	// that routes through the new layout must find a host for every
+	// region it names. The parent's assignment goes last, so the old
+	// layout stays routable (to a closed region, which the client
+	// retries) until the new one is.
 	rs.OpenRegion(lo)
 	rs.OpenRegion(hi)
 	m.mu.Lock()
-	delete(m.assignment, regionName)
 	m.assignment[lo.Name()] = host
 	m.assignment[hi.Name()] = host
+	m.mu.Unlock()
+	tbl.replaceRegion(parent, lo, hi)
+	m.mu.Lock()
+	delete(m.assignment, regionName)
 	m.mu.Unlock()
 	// Commit point: one table-row write replaces the parent with both
 	// daughters atomically. A crash before it cold-starts the parent

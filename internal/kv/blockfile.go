@@ -103,7 +103,10 @@ func (m *memorySource) MayContain(key string) bool      { return true }
 
 // PackBlocks partitions sorted entries (key asc, timestamp desc) into
 // blocks of at most blockSize bytes and returns them with the file
-// metadata. It panics when entries are unsorted: files are only ever
+// metadata. A block only ends at a key change, so all versions of one
+// key share a block (which may then exceed blockSize): the sparse index
+// maps a key to the one block that can hold it, and a key's newer
+// versions left at the end of the previous block would be unreachable. It panics when entries are unsorted: files are only ever
 // built from sorted iterators, so unsorted input means engine corruption.
 // Both the memory backend and the durable SSTable writer build on it so
 // the two formats pack identically.
@@ -118,7 +121,7 @@ func PackBlocks(entries []Entry, blockSize int) ([]*Block, FileMeta) {
 		if i > 0 && less(e, entries[i-1]) {
 			panic(fmt.Sprintf("kv: unsorted entries packing blocks (%q after %q)", e.Key, entries[i-1].Key))
 		}
-		if cur == nil || (cur.bytes+e.Size() > blockSize && cur.Len() > 0) {
+		if cur == nil || (cur.bytes+e.Size() > blockSize && e.Key != entries[i-1].Key) {
 			cur = &Block{}
 			blocks = append(blocks, cur)
 		}

@@ -506,3 +506,29 @@ func BenchmarkStoreScan100(b *testing.B) {
 		s.Scan(start, "", 100)
 	}
 }
+
+// A key whose versions outgrow one block must not be split across a
+// block boundary: the sparse index maps the key to the block that starts
+// with it, so newer versions left at the end of the previous block would
+// be invisible and Get would return a stale value.
+func TestGetNewestWhenVersionsOutgrowBlock(t *testing.T) {
+	s := newTestStore(t, Config{BlockBytes: 256})
+	if err := s.Put("a", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := s.Put("k", []byte(fmt.Sprintf("version-%02d-padding-padding", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "version-19-padding-padding"; string(v) != want {
+		t.Fatalf("Get(k) after flush = %q, want %q", v, want)
+	}
+}

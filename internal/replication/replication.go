@@ -30,28 +30,65 @@
 // # Tail streaming
 //
 // SSTables alone leave a loss window on a server kill: the primary's
-// unflushed memstore. Each reconciliation therefore also ships the
-// region's synced WAL tail — its durable-but-unflushed records, taken
-// from the server's shared log (durable.WAL.SyncedTail) — as one
-// atomically-replaced wal-tail.log frame file per replica directory. A
-// flush empties the tail (the records moved into a shipped SSTable) and
-// the next reconcile removes the file. Master.RecoverServer replays the
-// shipped tail over the replica SSTables, so the loss window shrinks to
-// the records no fsync covered plus shipping lag — 0 after a Quiesce.
-// The tail is snapshotted before the file stack: a flush racing the
-// reconcile can then only duplicate records between the tail file and a
-// shipped SSTable (replay dedups by timestamp), never drop them from
-// both.
+// unflushed memstore. The replicator therefore also keeps a copy of the
+// region's synced WAL tail — its durable-but-unflushed records, read
+// from the server's shared log (durable.WAL.TailAfter) — in a
+// wal-tail.log frame file per replica directory. Master.RecoverServer
+// replays that file over the replica SSTables, so the loss window
+// shrinks to the records no fsync covered plus shipping lag — 0 after a
+// Quiesce.
+//
+// A tail ship costs O(records synced since the last ship), not
+// O(unflushed tail): the replicator keeps a cursor per follower
+// directory (the last WAL sequence number shipped there) and appends
+// only the newer frames, then fsyncs the file. Ships run after every
+// group-commit round (NoteTailRecords queues one on the workers) and,
+// bounded-lag, from the floor goroutine. The file is rewritten whole
+// (temp file, fsync, rename) only
+//
+//   - on the first ship to a directory — cursors live in memory, so this
+//     also covers every restart. The rewrite keeps the records the file
+//     already holds and adds the current tail;
+//   - on the ship after a failed append, which may have left a torn
+//     frame behind: replay stops at the first torn frame, so anything
+//     appended after it would be invisible. The rewrite is made the same
+//     way, keeping every intact record;
+//   - by a reconcile, when the file holds more records than the newest
+//     versions of the tail: records a flush moved into an SSTable (see
+//     Recovery ordering), or versions a newer record of the same key
+//     shadows.
+//
+// Every rewrite keeps only the newest version of each key: replay only
+// rebuilds the store's current contents.
 //
 // # Recovery ordering
 //
+// Only a reconcile drops flushed records from a tail file, and only
+// after the SSTables holding them are in the same directory. The shared log
+// gives each region's tail a generation that changes whenever a flush
+// truncation (or a drop) removes records. A reconcile samples the
+// generation, then snapshots the primary's file stack and copies the
+// missing SSTables into each directory; a flush installs its SSTable in
+// the stack before it truncates the tail, so every record removed before
+// the sample is in a copied file. It then rewrites a directory's tail
+// file to the current tail only if the generation is still the sampled
+// one and every snapshot file reached that directory. A flush racing
+// the reconcile changes the generation, so the file keeps its records
+// until the next reconcile — the one that flush's own notification
+// queues — has copied the new SSTable. Every other ship only appends,
+// or rewrites keeping every record the file holds. So no tail file
+// loses a flushed memstore's records before the SSTable holding them
+// reaches the follower; what a kill can still lose is the synced
+// records no ship has reached yet, which the tail floor bounds.
+//
 // The replica directory is crash-consistent by construction: every
-// visible file is a complete, fsynced copy of an immutable SSTable, and
+// visible SSTable is a complete, fsynced copy of an immutable file, and
 // a directory holding both a compaction's inputs and its output is the
 // exact state the engine itself tolerates after a crash mid-compaction
-// (duplicate entries dedup at read time); the tail file is replaced
-// atomically and CRC-framed, so a torn ship truncates to the last good
-// record. Reopening a store over a seeded directory therefore needs no
+// (duplicate entries dedup at read time). The tail file is CRC-framed:
+// a ship torn by a crash truncates replay to the last good record, and
+// records a flush already covers replay as duplicates of SSTable
+// entries. Reopening a store over a seeded directory therefore needs no
 // replication-specific recovery code — Master.RecoverServer copies the
 // replica's SSTables into a fresh region directory, opens it like any
 // other cold store, replays the tail file through the engine, then
@@ -60,9 +97,11 @@
 package replication
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,24 +146,66 @@ const (
 )
 
 // target is one tracked region: how to snapshot its primary file stack
-// and synced WAL tail, and where its replicas live. All are closures so
-// the replicator always sees the region's *current* store and follower
-// set — a server restart swaps the store, a follower re-pick changes
-// the destinations, and none needs to re-register.
+// and read its synced WAL tail, and where its replicas live. All are
+// closures so the replicator always sees the region's *current* store
+// and follower set — a server restart swaps the store, a follower
+// re-pick changes the destinations, and none needs to re-register.
 type target struct {
 	files func() ([]kv.ExportedFile, bool)
 	dests func() []string
-	tail  func() []kv.Entry
+	tail  func(after uint64) durable.TailChunk
 
-	// tailMu serializes tail ships for this region across the worker
-	// and floor goroutines: the tail is snapshotted and written under
-	// it, so an older snapshot can never overwrite a newer file.
-	tailMu sync.Mutex
+	// ts is the region's follower tail-file state. Re-tracking a region
+	// keeps it (the log and the files are the same); Untrack drops it.
+	ts *tailState
 	// lag counts synced-but-unshipped records (guarded by Replicator.mu;
-	// reset under tailMu *before* the snapshot, so every counted record
-	// is in the snapshot that zeroed it).
+	// reset under ts.mu *before* the tail is read, so every counted
+	// record is in the ship that zeroed it).
 	lag int
 }
+
+// tailState is what the replicator knows about one region's follower
+// tail files.
+type tailState struct {
+	// mu serializes tail ships for the region across the worker and
+	// floor goroutines, so two ships never write one file at once and a
+	// cursor always describes its file.
+	mu sync.Mutex
+	// cursors maps a replica directory to what its tail file holds. A
+	// directory without a cursor holds a file of unknown content (first
+	// ship, or a failed append): it is rewritten before anything is
+	// appended to it.
+	cursors map[string]tailCursor
+}
+
+// tailCursor describes one follower's tail file.
+type tailCursor struct {
+	// seq is the WAL sequence number of the newest record the file
+	// holds: the next append ships the records after it.
+	seq uint64
+	// frames counts the records in the file. A reconcile compares it
+	// with the newest versions of the current tail to tell whether the
+	// file holds records the tail no longer needs (flushed or shadowed).
+	frames int
+}
+
+// shipKind says what a tail ship may do to a follower's file.
+type shipKind int
+
+const (
+	// shipSynced is the worker ship queued after a group-commit round:
+	// it appends only.
+	shipSynced shipKind = iota
+	// shipFloor is the bounded-lag floor ship: it appends only.
+	shipFloor
+	// shipReconcile follows a reconcile's SSTable copies and may shrink
+	// a file to the exact tail (see Recovery ordering).
+	shipReconcile
+)
+
+// appendTail is the tail-file append the ships use; tests swap it to
+// inject a failure part-way through an append.
+var appendTail = durable.AppendTailFile
 
 // Replicator ships immutable SSTables to follower replica directories,
 // one per region server. Notifications coalesce: a region enqueued ten
@@ -136,11 +217,13 @@ type Replicator struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	targets map[string]*target
-	queued  map[string]bool
-	queue   []string // FIFO of region names
-	active  int
-	closed  bool
-	wg      sync.WaitGroup
+	// queued holds every queued region: true when a full reconcile is
+	// wanted, false for a tail ship only.
+	queued map[string]bool
+	queue  []string // FIFO of region names
+	active int
+	closed bool
+	wg     sync.WaitGroup
 
 	// kick wakes the tail-floor goroutine when some region's lag crossed
 	// TailFloorRecords (buffered: one pending wake is enough — the floor
@@ -199,17 +282,22 @@ func New(cfg Config) *Replicator {
 // region's current primary SSTable stack (kv.Store.ExportFiles of
 // whatever store currently backs it); dests returns the absolute
 // replica directories to keep in sync (one per follower); tail, when
-// non-nil, snapshots the region's synced-but-unflushed WAL records
-// (durable.WAL.SyncedTail) for tail streaming — nil disables it (no
-// shared log, or an in-memory store). Tracking is idempotent by region
-// name; re-tracking replaces the closures.
-func (r *Replicator) Track(region string, files func() ([]kv.ExportedFile, bool), dests func() []string, tail func() []kv.Entry) {
+// non-nil, reads the region's synced-but-unflushed WAL records after a
+// sequence number (durable.WAL.TailAfter) for tail streaming — nil
+// disables it (no shared log, or an in-memory store). Tracking is
+// idempotent by region name; re-tracking replaces the closures and
+// keeps the follower tail-file cursors, so tail must read the same log.
+func (r *Replicator) Track(region string, files func() ([]kv.ExportedFile, bool), dests func() []string, tail func(after uint64) durable.TailChunk) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return
 	}
-	r.targets[region] = &target{files: files, dests: dests, tail: tail}
+	ts := &tailState{cursors: make(map[string]tailCursor)}
+	if old := r.targets[region]; old != nil {
+		ts = old.ts
+	}
+	r.targets[region] = &target{files: files, dests: dests, tail: tail, ts: ts}
 }
 
 // Untrack stops replicating a region (it moved away or was retired).
@@ -224,12 +312,23 @@ func (r *Replicator) Untrack(region string) {
 // Notify enqueues a tracked region for reconciliation. Repeated
 // notifications for the same region coalesce until a worker pops it.
 func (r *Replicator) Notify(region string) {
+	r.enqueue(region, true)
+}
+
+// enqueue queues region for a worker: a full reconcile when reconcile
+// is set, else a tail ship. Queued work for a region coalesces, and a
+// reconcile subsumes a tail ship.
+func (r *Replicator) enqueue(region string, reconcile bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.targets[region] == nil || r.queued[region] {
+	if r.closed || r.targets[region] == nil {
 		return
 	}
-	r.queued[region] = true
+	if wanted, ok := r.queued[region]; ok {
+		r.queued[region] = wanted || reconcile
+		return
+	}
+	r.queued[region] = reconcile
 	r.queue = append(r.queue, region)
 	// Broadcast, not Signal: workers and Quiesce callers share the
 	// condition variable, and a lone signal could wake a quiescer (who
@@ -238,11 +337,13 @@ func (r *Replicator) Notify(region string) {
 }
 
 // NoteTailRecords credits region with n freshly fsync-covered records
-// (the WAL's OnSynced counts). When the accumulated lag reaches
-// Config.TailFloorRecords the floor goroutine is woken to ship the
-// region's tail directly — the "ship at least every K records" half of
-// the bounded-lag guarantee. Must never block: it runs on a committing
-// writer's goroutine.
+// (the WAL's OnSynced counts) and queues a tail ship for it on the
+// workers — the records are shippable now, and the ship appends only
+// them. When the accumulated lag reaches Config.TailFloorRecords the
+// floor goroutine is woken as well, to ship directly — the "ship at
+// least every K records" half of the bounded-lag guarantee, which must
+// hold even while the workers are stuck behind budget-starved SSTable
+// copies. Must never block: it runs on a committing writer's goroutine.
 func (r *Replicator) NoteTailRecords(region string, n int) {
 	if n <= 0 {
 		return
@@ -255,6 +356,10 @@ func (r *Replicator) NoteTailRecords(region string, n int) {
 		over = r.cfg.TailFloorRecords > 0 && t.lag >= r.cfg.TailFloorRecords
 	}
 	r.mu.Unlock()
+	if t == nil || t.tail == nil {
+		return
+	}
+	r.enqueue(region, false)
 	if over {
 		select {
 		case r.kick <- struct{}{}:
@@ -310,7 +415,7 @@ func (r *Replicator) shipLagged(min int) {
 		return
 	}
 	for _, w := range work {
-		if err := r.shipTail(w.t, true); err != nil {
+		if err := r.shipTail(w.t, shipFloor, 0, nil); err != nil {
 			r.failures.Add(1)
 		}
 	}
@@ -358,13 +463,20 @@ func (r *Replicator) worker() {
 		}
 		region := r.queue[0]
 		r.queue = r.queue[1:]
+		reconcile := r.queued[region]
 		delete(r.queued, region)
 		t := r.targets[region]
 		r.active++
 		r.mu.Unlock()
 
 		if t != nil {
-			if err := r.sync(t); err != nil {
+			var err error
+			if reconcile {
+				err = r.sync(t)
+			} else {
+				err = r.shipTail(t, shipSynced, 0, nil)
+			}
+			if err != nil {
 				r.failures.Add(1)
 			}
 			r.syncs.Add(1)
@@ -380,65 +492,142 @@ func (r *Replicator) worker() {
 }
 
 // sync reconciles every destination directory against one snapshot of
-// the primary stack. A primary file unlinked between the snapshot and
-// the copy (a racing compaction) is skipped: the compaction latched a
-// fresh notification, so the region re-reconciles against the
-// post-compaction stack. The tail ships before the stack is
-// snapshotted, so a racing flush duplicates records between the two
-// (replay dedups) rather than dropping them from both.
+// the primary stack, then ships the tail. A primary file unlinked
+// between the snapshot and the copy (a racing compaction) is skipped:
+// the compaction latched a fresh notification, so the region
+// re-reconciles against the post-compaction stack. The tail generation
+// is sampled before the snapshot, so the tail ship can tell whether
+// every record a flush removed from the tail is in a copied SSTable
+// (see Recovery ordering).
 func (r *Replicator) sync(t *target) error {
-	firstErr := r.shipTail(t, false)
+	var gen uint64
+	if t.tail != nil {
+		gen = t.tail(math.MaxUint64).Gen
+	}
 	files, ok := t.files()
 	if !ok {
-		return firstErr // in-memory backend: nothing shippable
+		return nil // in-memory backend: nothing shippable
 	}
+	var firstErr error
+	copied := make(map[string]bool)
 	for _, dir := range t.dests() {
 		shippedBefore := r.filesShipped.Load()
 		shipStart := time.Now()
-		if err := r.syncDir(dir, files); err != nil && firstErr == nil {
+		complete, err := r.syncDir(dir, files)
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
+		copied[dir] = complete && err == nil
 		if r.filesShipped.Load() > shippedBefore {
 			r.shipHist.Since(shipStart)
 		}
 	}
+	if err := r.shipTail(t, shipReconcile, gen, copied); err != nil && firstErr == nil {
+		firstErr = err
+	}
 	return firstErr
 }
 
-// shipTail writes one fresh snapshot of the region's synced WAL tail to
-// every replica directory. Both the worker reconcile and the bounded-lag
-// floor land here; t.tailMu serializes them so an older snapshot can
-// never overwrite a newer file, and the lag counter is zeroed under it
-// *before* the snapshot is taken, so every record the counter credited
-// is inside the snapshot that cleared it.
+// shipTail brings every replica directory's tail file up to the
+// region's synced WAL tail. Worker ships, floor ships and reconciles all
+// land here; t.ts.mu serializes them, and the lag counter is zeroed
+// under it *before* the tail is read, so every record the counter
+// credited is in the ship that cleared it.
+//
+// A directory with a cursor gets the records after it appended. One
+// without (first ship, failed append) is rewritten with the records it
+// already holds plus the whole current tail. A reconcile (kind
+// shipReconcile) passes the tail generation it sampled before its stack
+// snapshot and the directories that snapshot fully reached: a file there
+// holding more records than the newest versions of the tail — flushed
+// records, or versions a newer one shadows — is rewritten to those
+// newest versions, provided the generation has not moved since (a newer
+// flush's SSTable is not in the directory yet). A reconcile reads the
+// whole tail for this; the other ships read only the new records.
 //
 // Tail bytes are deliberately NOT charged to the background I/O budget:
-// the tail is small (bounded by the unflushed working set), and the
-// bounded-lag loss guarantee depends on it shipping even while the
-// budget is drained by a write burst — the exact moment the guarantee
-// matters most.
-func (r *Replicator) shipTail(t *target, floor bool) error {
+// the ships are small, and the bounded-lag loss guarantee depends on
+// them shipping even while the budget is drained by a write burst — the
+// exact moment the guarantee matters most.
+func (r *Replicator) shipTail(t *target, kind shipKind, stackGen uint64, copied map[string]bool) error {
 	if t.tail == nil {
 		return nil
 	}
-	t.tailMu.Lock()
-	defer t.tailMu.Unlock()
+	ts := t.ts
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
 	r.mu.Lock()
 	t.lag = 0
 	r.mu.Unlock()
-	tail := t.tail()
+
+	dests := t.dests()
+	live := make(map[string]bool, len(dests))
+	for _, dir := range dests {
+		live[dir] = true
+	}
+	for dir := range ts.cursors {
+		if !live[dir] {
+			delete(ts.cursors, dir)
+		}
+	}
+	// The whole tail, read at most once and only for rewrites.
+	var whole *durable.TailChunk
+	wholeTail := func() durable.TailChunk {
+		if whole == nil {
+			c := t.tail(0)
+			whole = &c
+		}
+		return *whole
+	}
+	var newest []kv.Entry
+	newestTail := func() []kv.Entry {
+		if newest == nil {
+			newest = newestVersions(wholeTail().Entries)
+		}
+		return newest
+	}
+
 	var firstErr error
-	for _, dir := range t.dests() {
-		if len(tail) > 0 {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
+	for _, dir := range dests {
+		path := durable.TailFilePath(dir)
+		cur, known := ts.cursors[dir]
+		start := time.Now()
+		var n int64
+		var frames int
+		var err error
+		switch {
+		case kind == shipReconcile && copied[dir] && wholeTail().Gen == stackGen &&
+			(!known || cur.frames > len(newestTail())):
+			// Shrink: every record the tail dropped before the stack
+			// snapshot is in an SSTable this reconcile put in dir.
+			kept := newestTail()
+			n, err = rewriteTail(dir, path, kept)
+			frames = len(kept)
+			if err == nil {
+				ts.cursors[dir] = tailCursor{seq: wholeTail().Last, frames: frames}
+			}
+		case known:
+			c := t.tail(cur.seq)
+			if len(c.Entries) == 0 {
 				continue
 			}
+			n, err = appendTail(path, c.Entries, false)
+			frames = len(c.Entries)
+			if err == nil {
+				ts.cursors[dir] = tailCursor{seq: c.Last, frames: cur.frames + frames}
+				break
+			}
+			// The append may have left a torn frame: the file is
+			// rewritten before anything else goes into it.
+			delete(ts.cursors, dir)
+			fallthrough
+		default:
+			c := wholeTail()
+			n, frames, err = mergeTail(dir, path, c.Entries)
+			if err == nil {
+				ts.cursors[dir] = tailCursor{seq: c.Last, frames: frames}
+			}
 		}
-		tailStart := time.Now()
-		n, err := durable.WriteTailFile(durable.TailFilePath(dir), tail, false)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -446,16 +635,63 @@ func (r *Replicator) shipTail(t *target, floor bool) error {
 			continue
 		}
 		if n > 0 {
-			r.tailHist.Since(tailStart)
+			r.tailHist.Since(start)
 			r.tailShips.Add(1)
 			r.tailBytes.Add(n)
-			r.tailFrames.Add(int64(len(tail)))
-			if floor {
+			r.tailFrames.Add(int64(frames))
+			if kind == shipFloor {
 				r.tailFloorShips.Add(1)
 			}
 		}
 	}
 	return firstErr
+}
+
+// rewriteTail atomically replaces dir's tail file with entries (an empty
+// tail removes it).
+func rewriteTail(dir, path string, entries []kv.Entry) (int64, error) {
+	if len(entries) > 0 {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return 0, err
+		}
+	}
+	return durable.WriteTailFile(path, entries, false)
+}
+
+// mergeTail atomically rewrites dir's tail file with the intact records
+// it already holds plus entries, so the rewrite removes nothing but a
+// torn trailing frame and shadowed versions (see newestVersions). It
+// returns the bytes and records written.
+func mergeTail(dir, path string, entries []kv.Entry) (int64, int, error) {
+	old, _, err := durable.ReadTailFile(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	merged := newestVersions(append(old, entries...))
+	n, err := rewriteTail(dir, path, merged)
+	return n, len(merged), err
+}
+
+// newestVersions returns the newest version of each key in entries, in
+// ascending timestamp order (the order replay applies them in). A
+// rewrite drops the older versions: a tail file is replayed only to
+// rebuild the store's current contents, where the newest version
+// shadows them.
+func newestVersions(entries []kv.Entry) []kv.Entry {
+	newest := make(map[string]int, len(entries))
+	for i, e := range entries {
+		if j, ok := newest[e.Key]; !ok || e.Timestamp > entries[j].Timestamp {
+			newest[e.Key] = i
+		}
+	}
+	out := make([]kv.Entry, 0, len(newest))
+	for i, e := range entries {
+		if newest[e.Key] == i {
+			out = append(out, e)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Timestamp < out[j].Timestamp })
+	return out
 }
 
 // ShipLatency returns the distribution of replica reconcile durations
@@ -466,15 +702,18 @@ func (r *Replicator) ShipLatency() obs.Snapshot { return r.shipHist.Snapshot() }
 func (r *Replicator) TailShipLatency() obs.Snapshot { return r.tailHist.Snapshot() }
 
 // syncDir makes dir hold exactly the snapshot's SSTables (modulo files
-// newer than the snapshot, which a pending notification owns).
-func (r *Replicator) syncDir(dir string, files []kv.ExportedFile) error {
+// newer than the snapshot, which a pending notification owns). complete
+// reports that every snapshot file is now in dir: false when one was
+// compacted away before it could be copied.
+func (r *Replicator) syncDir(dir string, files []kv.ExportedFile) (complete bool, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return false, err
 	}
 	have, _, err := listSSTables(dir)
 	if err != nil {
-		return err
+		return false, err
 	}
+	complete = true
 	want := make(map[uint64]bool, len(files))
 	var maxWant uint64
 	var firstErr error
@@ -491,6 +730,7 @@ func (r *Replicator) syncDir(dir string, files []kv.ExportedFile) error {
 			if os.IsNotExist(err) {
 				// Compacted away mid-ship; the splice queued a fresh
 				// notification that will ship its replacement.
+				complete = false
 				continue
 			}
 			if firstErr == nil {
@@ -523,11 +763,13 @@ func (r *Replicator) syncDir(dir string, files []kv.ExportedFile) error {
 	if err := syncDirEntry(dir); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	return firstErr
+	return complete, firstErr
 }
 
 // listSSTables enumerates the SSTable IDs already present in dir,
-// removing stale temp files (the debris of a copy killed mid-ship).
+// removing stale SSTable temp files (the debris of a copy killed
+// mid-ship). Other temp files are left alone: a concurrent tail ship's
+// wal-tail.log.tmp is about to be renamed into place.
 func listSSTables(dir string) (map[uint64]bool, uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -537,8 +779,10 @@ func listSSTables(dir string) (map[uint64]bool, uint64, error) {
 	var max uint64
 	for _, e := range entries {
 		name := e.Name()
-		if filepath.Ext(name) == ".tmp" {
-			_ = os.Remove(filepath.Join(dir, name))
+		if base, ok := strings.CutSuffix(name, ".tmp"); ok {
+			if _, sst := durable.ParseSSTableFileName(base); sst {
+				_ = os.Remove(filepath.Join(dir, name))
+			}
 			continue
 		}
 		id, ok := durable.ParseSSTableFileName(name)
@@ -638,15 +882,17 @@ type Stats struct {
 	FilesShipped int64
 	BytesShipped int64
 	FilesRetired int64
-	// Syncs counts reconciliation rounds; Failures counts rounds that
-	// hit an I/O error (the next notification retries).
+	// Syncs counts worker rounds (reconciles and the tail ships queued
+	// after group-commit rounds); Failures counts rounds, worker or
+	// floor, that hit an I/O error (the next round retries).
 	Syncs    int64
 	Failures int64
-	// TailShips / TailBytes / TailFrames count WAL-tail files written to
-	// replica directories, their physical bytes, and the records they
-	// carried (empty tails remove the file and count nothing).
-	// TailFloorShips counts the subset forced by the bounded-lag floor
-	// (K records / T ms) rather than a worker reconcile.
+	// TailShips / TailBytes / TailFrames count writes to replica
+	// directories' WAL-tail files (appends and rewrites), their physical
+	// bytes, and the records they carried (a ship with nothing new
+	// writes and counts nothing). TailFloorShips counts the subset
+	// forced by the bounded-lag floor (K records / T ms) rather than a
+	// worker round.
 	TailShips      int64
 	TailBytes      int64
 	TailFrames     int64
