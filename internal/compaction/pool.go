@@ -151,7 +151,8 @@ type Pool struct {
 	budget *Budget
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    *sync.Cond // signals workers: queue non-empty or closed
+	idle    *sync.Cond // signals Settle: queue empty and nothing running
 	queue   taskHeap
 	byStore map[*kv.Store]*task
 	seq     uint64
@@ -177,6 +178,7 @@ func NewPool(cfg Config) *Pool {
 		byStore: make(map[*kv.Store]*task),
 	}
 	p.cond = sync.NewCond(&p.mu)
+	p.idle = sync.NewCond(&p.mu)
 	p.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go p.worker()
@@ -264,8 +266,26 @@ func (p *Pool) worker() {
 		}
 		p.mu.Lock()
 		p.running--
+		if p.running == 0 && len(p.queue) == 0 {
+			p.idle.Broadcast()
+		}
 		p.mu.Unlock()
 	}
+}
+
+// Settle blocks until the pool is quiescent: the queue is empty and no
+// task is running, so every compaction triggered before the call — and
+// any follow-up it queued — has finished, OnCompacted hook included.
+// Tests and tooling use it as the "compaction settled" barrier instead of
+// polling queue depth, which reads zero while a popped task is still
+// inside CompactFiles. Work enqueued concurrently with Settle may or may
+// not be waited for.
+func (p *Pool) Settle() {
+	p.mu.Lock()
+	for len(p.queue) > 0 || p.running > 0 {
+		p.idle.Wait()
+	}
+	p.mu.Unlock()
 }
 
 // runTask plans and executes compactions for one store until the policy

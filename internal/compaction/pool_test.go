@@ -2,6 +2,8 @@ package compaction
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,5 +217,54 @@ func TestPoolSurvivesClosedStore(t *testing.T) {
 	})
 	if ps := pool.Stats(); ps.Failures != 0 {
 		t.Fatalf("closed store counted as pool failure: %+v", ps)
+	}
+}
+
+// TestSettleWaitsForRunningTask: Settle must not return while a popped
+// task is still inside CompactFiles or its OnCompacted hook, even though
+// the queue already reads empty then.
+func TestSettleWaitsForRunningTask(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	var hooked atomic.Int64
+	pool := NewPool(Config{
+		MaxStoreFiles: 3,
+		Workers:       1,
+		OnCompacted: func(*kv.Store, kv.CompactionResult) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-release
+			hooked.Add(1)
+		},
+	})
+	defer pool.Close()
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // before Close, which waits for the blocked worker
+	s := newPoolStore(t, pool, 3)
+	// The fourth file crosses MaxStoreFiles: exactly one trigger.
+	for b := 0; b < 4; b++ {
+		flushFile(t, s, fmt.Sprintf("b%d", b))
+	}
+	<-entered // a task is running and its queue slot is gone
+	if st := pool.Stats(); st.QueueDepth != 0 || st.Running != 1 {
+		t.Fatalf("stats = %+v; want an empty queue and one running task", st)
+	}
+	settled := make(chan struct{})
+	go func() {
+		pool.Settle()
+		close(settled)
+	}()
+	select {
+	case <-settled:
+		t.Fatal("Settle returned while a task was running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	unblock()
+	<-settled
+	if st := pool.Stats(); st.QueueDepth != 0 || st.Running != 0 || hooked.Load() == 0 {
+		t.Fatalf("after Settle: stats %+v, hooks run %d", st, hooked.Load())
 	}
 }

@@ -97,21 +97,13 @@ func ParseSSTableFileName(name string) (id uint64, ok bool) {
 // SSTable id, for byte-level shipping to replicas and snapshots.
 func (b *Backend) FilePath(id uint64) string { return b.sstPath(id) }
 
-// Create implements kv.StorageBackend: entries become an SSTable that is
-// durable (fsynced and atomically visible) before Create returns, which
-// is what lets the engine truncate the WAL right after a flush.
-func (b *Backend) Create(id uint64, entries []kv.Entry, blockBytes int) (*kv.StoreFile, error) {
-	return b.CreateWithMaxTS(id, entries, blockBytes, 0)
-}
-
-// CreateWithMaxTS implements kv.TimestampFloorCreator: like Create, but
-// the file's recorded max timestamp is at least maxTS. Compactions pass
-// the maximum of their inputs so that dropping a newest-version entry
-// (a shadowed put, an elided tombstone) cannot regress the file's
-// timestamp — a store seeded from the file (snapshot restore, replica
-// failover) resumes its clock from that property, and a regressed clock
-// makes failover loss accounting overcount.
-func (b *Backend) CreateWithMaxTS(id uint64, entries []kv.Entry, blockBytes int, maxTS uint64) (*kv.StoreFile, error) {
+// Create implements kv.StorageBackend: the sorted stream becomes an
+// SSTable that is durable (fsynced and atomically visible) before Create
+// returns, which is what lets the engine truncate the WAL right after a
+// flush. The recorded max timestamp is at least maxTS, so a store seeded
+// from the file alone resumes its clock past every input of the
+// compaction that wrote it. An iterator error leaves no file behind.
+func (b *Backend) Create(id uint64, it kv.Iterator, blockBytes int, maxTS uint64) (*kv.StoreFile, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -119,7 +111,7 @@ func (b *Backend) CreateWithMaxTS(id uint64, entries []kv.Entry, blockBytes int,
 	}
 	b.mu.Unlock()
 	path := b.sstPath(id)
-	if _, err := writeSSTable(path, entries, blockBytes, b.opts, &b.sstBytesWritten, maxTS); err != nil {
+	if _, err := writeSSTable(path, it, blockBytes, b.opts, &b.sstBytesWritten, maxTS); err != nil {
 		return nil, fmt.Errorf("durable: write sstable %d: %w", id, err)
 	}
 	if err := syncDir(b.dir, b.opts.NoSync); err != nil {

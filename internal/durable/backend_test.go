@@ -321,7 +321,7 @@ func TestDestroyRemovesDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := backend.Create(1, sortedEntries(10), 1<<10); err != nil {
+	if _, err := backend.Create(1, entryIter(sortedEntries(10)), 1<<10, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := backend.Destroy(); err != nil {

@@ -121,3 +121,61 @@ func BenchmarkWALAppend(b *testing.B) {
 		}
 	}
 }
+
+// missStore loads n rows of 128 B values into one flushed SSTable with
+// 64 KiB blocks behind a zero-capacity block cache, so every read loads
+// and parses its block from disk: the cache-miss path of a read-profile
+// node with a cold working set.
+func missStore(b *testing.B, n int) *kv.Store {
+	b.Helper()
+	s, err := kv.OpenStore(kv.Config{
+		MemstoreFlushBytes: 64 << 20,
+		BlockBytes:         64 << 10,
+		BlockCacheBytes:    -1,
+		OpenBackend:        Opener(b.TempDir(), Options{NoSync: true}),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	rows := make([]kv.Entry, n)
+	for i := range rows {
+		rows[i] = kv.Entry{Key: fmt.Sprintf("key-%09d", i), Value: make([]byte, 128)}
+	}
+	if err := s.ImportEntries(rows); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkStoreFileGetMiss is one cache-missing point read: pread a
+// 64 KiB block, verify its CRC, find the row.
+func BenchmarkStoreFileGetMiss(b *testing.B) {
+	const n = 20000
+	s := missStore(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Get(fmt.Sprintf("key-%09d", (i*7919)%n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreFileScanMiss is one cache-missing short scan (YCSB E's
+// 1–100 rows, here 50) starting at a random row.
+func BenchmarkStoreFileScanMiss(b *testing.B) {
+	const n = 20000
+	s := missStore(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := s.Scan(fmt.Sprintf("key-%09d", (i*7919)%n), "", 50)
+		if err != nil || len(out) == 0 {
+			b.Fatalf("scan: %d rows, %v", len(out), err)
+		}
+	}
+}

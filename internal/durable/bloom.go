@@ -37,19 +37,25 @@ func newBloomFilter(n, bitsPerKey int) *bloomFilter {
 	return &bloomFilter{k: k, bits: make([]byte, (mBits+7)/8)}
 }
 
-func bloomHash(key string) (h1, h2 uint64) {
+// bloomHash is the FNV-1a base hash of key; the second probe hash is
+// derived from it (see probes).
+func bloomHash(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	h1 = h.Sum64()
-	h2 = h1>>17 | h1<<47 // odd-ish rotation as the second hash
-	return h1, h2
+	return h.Sum64()
 }
 
-func (b *bloomFilter) add(key string) {
+func probes(h1 uint64) (uint64, uint64) {
+	return h1, h1>>17 | h1<<47 // odd-ish rotation as the second hash
+}
+
+// addHash inserts a key by its bloomHash; SSTable builds gather the
+// hashes while streaming, before the filter can be sized.
+func (b *bloomFilter) addHash(h uint64) {
 	if b == nil {
 		return
 	}
-	h1, h2 := bloomHash(key)
+	h1, h2 := probes(h)
 	m := uint64(len(b.bits)) * 8
 	for i := uint32(0); i < b.k; i++ {
 		bit := (h1 + uint64(i)*h2) % m
@@ -61,7 +67,7 @@ func (b *bloomFilter) mayContain(key string) bool {
 	if b == nil {
 		return true
 	}
-	h1, h2 := bloomHash(key)
+	h1, h2 := probes(bloomHash(key))
 	m := uint64(len(b.bits)) * 8
 	for i := uint32(0); i < b.k; i++ {
 		bit := (h1 + uint64(i)*h2) % m

@@ -8,7 +8,7 @@ import (
 // Regression for the failover loss-accounting clock: a major compaction
 // that drops every tombstone must not regress the store's recorded max
 // timestamp. The merged SSTable records at least its inputs' maximum
-// (see Backend.CreateWithMaxTS), so a reopen reseeds the clock where it
+// (see Backend.Create), so a reopen reseeds the clock where it
 // left off — otherwise loss accounting (dead clock − replica clock)
 // would overcount and new writes could re-mint used timestamps.
 func TestMajorCompactionPreservesClockAcrossReopen(t *testing.T) {

@@ -35,8 +35,8 @@ func (c *crashBackend) freeze() {
 
 func (c *crashBackend) WAL() kv.WAL { return c.inner.WAL() }
 
-func (c *crashBackend) Create(id uint64, entries []kv.Entry, blockBytes int) (*kv.StoreFile, error) {
-	f, err := c.inner.Create(id, entries, blockBytes)
+func (c *crashBackend) Create(id uint64, it kv.Iterator, blockBytes int, maxTS uint64) (*kv.StoreFile, error) {
+	f, err := c.inner.Create(id, it, blockBytes, maxTS)
 	if err == nil && c.mode.Load() == 1 {
 		c.freeze()
 	}

@@ -69,10 +69,16 @@
 //	           propsOff | propsLen  (6 × u32, LE)
 //	           | reserved (16) | magic "METSFOOT" (8)
 //
-// Data blocks use the kv wire encoding (kv.EncodeBlock), so the packing
-// is bit-identical to the in-memory backend's blocks. The index and the
-// bloom filter are loaded into memory at open; a Get that the bloom
-// filter rejects performs zero data-block reads.
+// Data blocks are kv block payloads, packed by the same streaming
+// packer (kv.StreamBlocks) as the in-memory backend's blocks: flushes
+// and compactions feed their sorted iterators straight into the SSTable
+// writer, block by block, so no build holds its whole output in memory.
+// Blocks stay encoded on the read side too: a cache miss preads the
+// block, verifies its CRC and indexes the entries in place
+// (kv.ParseBlock) — one block representation, from disk to the caller,
+// for both backends. The index and the bloom filter are loaded into
+// memory at open; a Get that the bloom filter rejects performs zero
+// data-block reads.
 //
 // # Static analysis & invariants
 //

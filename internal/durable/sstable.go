@@ -28,28 +28,27 @@ type blockSpan struct {
 	length   uint64
 }
 
-// writeSSTable persists sorted entries as one SSTable at path, atomically
-// (write to temp, fsync, rename). Blocks are packed with the same rule
-// as the in-memory backend and streamed through a buffered writer as
-// they are encoded; only the block index, bloom filter and properties
-// are assembled in memory. It returns the file's metadata with Bytes
-// set to the real on-disk size. written, when non-nil, accumulates the
-// physical bytes (backend I/O accounting). maxTSFloor raises the
-// recorded max-timestamp property (see Backend.CreateWithMaxTS).
-func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options, written *atomic.Int64, maxTSFloor uint64) (kv.FileMeta, error) {
-	blocks, meta := kv.PackBlocks(entries, blockBytes)
-	if meta.MaxTS < maxTSFloor {
-		meta.MaxTS = maxTSFloor
-	}
-
+// writeSSTable streams a sorted iterator into one SSTable at path,
+// atomically (write to temp, fsync, rename). Blocks are packed by
+// kv.StreamBlocks — the same rule as the in-memory backend — and written
+// through a buffered writer as each one fills; only the block index, the
+// per-key bloom hashes and the properties accumulate in memory. An
+// iterator or write error removes the temp file before anything is
+// renamed into place. It returns the file's metadata with Bytes set to
+// the real on-disk size. written, when non-nil, accumulates the physical
+// bytes (backend I/O accounting). maxTSFloor raises the recorded
+// max-timestamp property (see kv.StorageBackend.Create).
+func writeSSTable(path string, it kv.Iterator, blockBytes int, opts Options, written *atomic.Int64, maxTSFloor uint64) (kv.FileMeta, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return kv.FileMeta{}, err
 	}
-	w := bufio.NewWriterSize(meteredWriter{w: f, count: written}, sstWriteBuffer)
-	size := encodeSSTable(w, blocks, meta, entries, opts.BitsPerKey)
-	err = w.Flush()
+	sw := &sstWriter{w: bufio.NewWriterSize(meteredWriter{w: f, count: written}, sstWriteBuffer)}
+	meta, err := sw.write(it, blockBytes, maxTSFloor, opts.BitsPerKey)
+	if err == nil {
+		err = sw.w.Flush()
+	}
 	if err == nil {
 		err = syncFile(f, opts.NoSync)
 	}
@@ -63,7 +62,6 @@ func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options,
 		os.Remove(tmp)
 		return kv.FileMeta{}, err
 	}
-	meta.Bytes = size
 	return meta, nil
 }
 
@@ -71,36 +69,54 @@ func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options,
 // through.
 const sstWriteBuffer = 64 << 10
 
-// encodeSSTable writes the SSTable format to w and returns the file
-// size: header, each data block followed by its CRC32C, then the block
-// index, bloom filter, properties and footer. Write errors are sticky
-// in the bufio.Writer and surface at the caller's Flush.
-func encodeSSTable(w *bufio.Writer, blocks []*kv.Block, meta kv.FileMeta, entries []kv.Entry, bitsPerKey int) int {
-	w.WriteString(sstMagic)
-	w.WriteByte(sstVersion)
-	off := sstHeaderSize
+// sstWriter encodes the SSTable format as blocks stream in: header, each
+// data block followed by its CRC32C, then the block index, bloom filter,
+// properties and footer. Write errors are sticky in the bufio.Writer;
+// each block write reports them so a failing disk stops the build early.
+type sstWriter struct {
+	w      *bufio.Writer
+	off    int
+	spans  []blockSpan
+	hashes []uint64 // bloom base hash of every distinct key
+}
 
-	spans := make([]blockSpan, 0, len(blocks))
+func (sw *sstWriter) writeBlock(b *kv.Block) error {
+	payload := b.Payload()
 	var sum [4]byte
-	for _, b := range blocks {
-		payload := kv.EncodeBlock(b.Entries())
-		binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-		w.Write(payload)
-		w.Write(sum[:])
-		spans = append(spans, blockSpan{
-			firstKey: b.Entries()[0].Key,
-			off:      uint64(off),
-			length:   uint64(len(payload) + 4),
-		})
-		off += len(payload) + 4
+	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
+	sw.w.Write(payload)
+	if _, err := sw.w.Write(sum[:]); err != nil {
+		return err
+	}
+	sw.spans = append(sw.spans, blockSpan{
+		firstKey: b.Entry(0).Key,
+		off:      uint64(sw.off),
+		length:   uint64(len(payload) + 4),
+	})
+	sw.off += len(payload) + 4
+	return nil
+}
+
+// write streams it into the data blocks and appends the trailing
+// sections, returning the metadata with Bytes set to the file size.
+func (sw *sstWriter) write(it kv.Iterator, blockBytes int, maxTSFloor uint64, bitsPerKey int) (kv.FileMeta, error) {
+	sw.w.WriteString(sstMagic)
+	sw.w.WriteByte(sstVersion)
+	sw.off = sstHeaderSize
+	meta, err := kv.StreamBlocks(it, blockBytes, maxTSFloor, sw.writeBlock, func(key string) {
+		sw.hashes = append(sw.hashes, bloomHash(key))
+	})
+	if err != nil {
+		return kv.FileMeta{}, err
 	}
 
 	// The trailing sections are small; buf holds them at their final
 	// file offsets (off + position in buf).
+	off := sw.off
 	var buf []byte
 	indexOff := off
-	buf = binary.AppendUvarint(buf, uint64(len(spans)))
-	for _, sp := range spans {
+	buf = binary.AppendUvarint(buf, uint64(len(sw.spans)))
+	for _, sp := range sw.spans {
 		buf = binary.AppendUvarint(buf, uint64(len(sp.firstKey)))
 		buf = append(buf, sp.firstKey...)
 		buf = binary.AppendUvarint(buf, sp.off)
@@ -108,9 +124,9 @@ func encodeSSTable(w *bufio.Writer, blocks []*kv.Block, meta kv.FileMeta, entrie
 	}
 	indexLen := len(buf)
 
-	bloom := newBloomFilter(distinctKeys(entries), bitsPerKey)
-	for _, e := range entries {
-		bloom.add(e.Key)
+	bloom := newBloomFilter(len(sw.hashes), bitsPerKey)
+	for _, h := range sw.hashes {
+		bloom.addHash(h)
 	}
 	bloomOff := off + len(buf)
 	buf = append(buf, bloom.marshal()...)
@@ -130,25 +146,16 @@ func encodeSSTable(w *bufio.Writer, blocks []*kv.Block, meta kv.FileMeta, entrie
 	}
 	buf = append(buf, make([]byte, 16)...) // reserved
 	buf = append(buf, sstFooterMagic...)
-	w.Write(buf)
-	return off + len(buf)
-}
-
-// distinctKeys counts key changes in a sorted entry run (bloom sizing).
-func distinctKeys(entries []kv.Entry) int {
-	n := 0
-	for i, e := range entries {
-		if i == 0 || e.Key != entries[i-1].Key {
-			n++
-		}
-	}
-	return n
+	sw.w.Write(buf)
+	meta.Bytes = off + len(buf)
+	return meta, nil
 }
 
 // sstable reads one SSTable through an open file handle, implementing
 // kv.BlockSource: the block index and bloom filter live in memory, data
-// blocks are pread + checksum-verified + decoded on demand (the kv
-// engine caches them). The handle stays open for the reader's lifetime,
+// blocks are pread + checksum-verified on demand and handed to the
+// engine still encoded — kv.ParseBlock only indexes the entries, and the
+// kv engine caches the result. The handle stays open for the reader's lifetime,
 // so a compaction may unlink the file while lock-free scans are still
 // reading it (unlink-while-open).
 type sstable struct {
@@ -345,7 +352,7 @@ func (t *sstable) FirstKey(i int) string { return t.index[i].firstKey }
 func (t *sstable) MayContain(key string) bool { return t.bloom.mayContain(key) }
 
 // LoadBlock implements kv.BlockSource: pread the block, verify its
-// checksum, decode. Reads racing a Close (store retired under a
+// checksum, and parse it in place (the block keeps the read buffer). Reads racing a Close (store retired under a
 // lock-free scan) surface kv.ErrClosed, which the serving layer already
 // absorbs.
 func (t *sstable) LoadBlock(i int) (*kv.Block, error) {
@@ -364,7 +371,7 @@ func (t *sstable) LoadBlock(i int) (*kv.Block, error) {
 	if crc32.Checksum(payload, castagnoli) != sum {
 		return nil, corruptf("sstable %s block %d checksum", t.path, i)
 	}
-	entries, err := kv.DecodeBlock(payload)
+	b, err := kv.ParseBlock(payload)
 	if err != nil {
 		return nil, fmt.Errorf("sstable %s block %d: %w", t.path, i, err)
 	}
@@ -372,7 +379,7 @@ func (t *sstable) LoadBlock(i int) (*kv.Block, error) {
 	if t.readBytes != nil {
 		t.readBytes.Add(int64(len(buf)))
 	}
-	return kv.NewBlock(entries), nil
+	return b, nil
 }
 
 // Close releases the file handle.

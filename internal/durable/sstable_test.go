@@ -21,11 +21,21 @@ func sortedEntries(n int) []kv.Entry {
 	return out
 }
 
+// entryIter streams entries into a build the way a flush does, through
+// a memstore iterator (key asc, timestamp desc).
+func entryIter(entries []kv.Entry) kv.Iterator {
+	m := kv.NewMemstore(1)
+	for _, e := range entries {
+		m.Add(e)
+	}
+	return m.Iterator()
+}
+
 func TestSSTableRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sst-1.sst")
 	entries := sortedEntries(500)
-	meta, err := writeSSTable(path, entries, 1<<10, Options{}.withDefaults(), nil, 0)
+	meta, err := writeSSTable(path, entryIter(entries), 1<<10, Options{}.withDefaults(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +67,11 @@ func TestSSTableRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Entries()[0].Key != r.FirstKey(bi) {
+		if b.Entry(0).Key != r.FirstKey(bi) {
 			t.Fatalf("block %d first key index mismatch", bi)
 		}
-		for _, e := range b.Entries() {
+		for j := 0; j < b.Len(); j++ {
+			e := b.Entry(j)
 			want := entries[i]
 			if e.Key != want.Key || string(e.Value) != string(want.Value) || e.Timestamp != want.Timestamp {
 				t.Fatalf("entry %d mangled: %+v", i, e)
@@ -76,7 +87,7 @@ func TestSSTableRoundtrip(t *testing.T) {
 func TestSSTableEmpty(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sst-2.sst")
-	if _, err := writeSSTable(path, nil, 1<<10, Options{}.withDefaults(), nil, 0); err != nil {
+	if _, err := writeSSTable(path, entryIter(nil), 1<<10, Options{}.withDefaults(), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	r, err := openSSTable(path)
@@ -92,7 +103,7 @@ func TestSSTableEmpty(t *testing.T) {
 func TestSSTableCorruptBlockChecksum(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sst-3.sst")
-	if _, err := writeSSTable(path, sortedEntries(100), 1<<10, Options{}.withDefaults(), nil, 0); err != nil {
+	if _, err := writeSSTable(path, entryIter(sortedEntries(100)), 1<<10, Options{}.withDefaults(), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
@@ -117,7 +128,7 @@ func TestSSTableCorruptBlockChecksum(t *testing.T) {
 func TestSSTableUnlinkWhileOpen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sst-4.sst")
-	if _, err := writeSSTable(path, sortedEntries(100), 1<<10, Options{}.withDefaults(), nil, 0); err != nil {
+	if _, err := writeSSTable(path, entryIter(sortedEntries(100)), 1<<10, Options{}.withDefaults(), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	r, err := openSSTable(path)
@@ -142,7 +153,7 @@ func TestSSTableUnlinkWhileOpen(t *testing.T) {
 func TestBloomFilterBasics(t *testing.T) {
 	b := newBloomFilter(1000, 10)
 	for i := 0; i < 1000; i++ {
-		b.add(fmt.Sprintf("present-%d", i))
+		b.addHash(bloomHash(fmt.Sprintf("present-%d", i)))
 	}
 	for i := 0; i < 1000; i++ {
 		if !b.mayContain(fmt.Sprintf("present-%d", i)) {

@@ -67,16 +67,11 @@ func TestBackgroundCompactionBoundsFileCount(t *testing.T) {
 			if eng.Flushes < 4 {
 				t.Fatalf("flushes = %d; volume too small to test compaction", eng.Flushes)
 			}
-			// Wait for the pool to drain the backlog.
-			deadline := time.Now().Add(10 * time.Second)
+			// Wait for the pool to drain the backlog and reconcile the
+			// mirror after its last merge.
+			rs.SettleCompactions()
 			tbl, _ := m.Table("t")
 			store := tbl.Regions()[0].Store()
-			for time.Now().Before(deadline) {
-				if store.NumFiles() <= 3 && store.Stats().CompactionQueueDepth == 0 {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
 			if got := store.NumFiles(); got > 3 {
 				t.Fatalf("background compaction never bounded the stack: %d files", got)
 			}

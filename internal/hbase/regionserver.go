@@ -841,6 +841,16 @@ func (s *RegionServer) Compactor() *compaction.Pool {
 	return s.compactor
 }
 
+// SettleCompactions blocks until the background compactor is quiescent:
+// nothing queued, nothing running, and every finished compaction's
+// mirror and replication reconciliation done (see compaction.Pool.Settle).
+// It returns at once when the pool is disabled.
+func (s *RegionServer) SettleCompactions() {
+	if p := s.Compactor(); p != nil {
+		p.Settle()
+	}
+}
+
 // Shutdown stops the server permanently: serving stops, the background
 // compactor drains, and the replicator stops shipping (a dead server
 // pushes nothing — its followers already hold whatever was shipped).

@@ -7,49 +7,19 @@ import (
 	"met/internal/obs"
 )
 
-// Block is one unit of a store file: a run of consecutive entries that is
-// loaded (and cached) as a whole. The configured block size trades random
-// reads (small blocks load less extraneous data) against sequential scans
-// (large blocks amortize per-block overhead), mirroring HBase's HFile
-// block size knob.
-type Block struct {
-	entries []Entry
-	bytes   int
-}
-
-// NewBlock builds a block from sorted entries, computing its logical byte
-// size. Block sources outside this package (met/internal/durable) use it
-// to hand decoded data blocks back to the engine.
-func NewBlock(entries []Entry) *Block {
-	b := &Block{entries: entries}
-	for _, e := range entries {
-		b.bytes += e.Size()
-	}
-	return b
-}
-
-// Len returns the number of entries in the block.
-func (b *Block) Len() int { return len(b.entries) }
-
-// Bytes returns the approximate byte size of the block.
-func (b *Block) Bytes() int { return b.bytes }
-
-// Entries returns the block's entries (shared, not copied; callers must
-// treat them as immutable).
-func (b *Block) Entries() []Entry { return b.entries }
-
 // BlockSource is the storage behind a StoreFile: an ordered sequence of
-// immutable blocks plus an optional membership filter. The engine layers
-// the block cache, the sparse key index and the iterators on top, so a
-// source only has to produce blocks — from memory (memorySource) or from
-// an on-disk SSTable (met/internal/durable).
+// immutable encoded blocks plus an optional membership filter. The
+// engine layers the block cache, the sparse key index and the iterators
+// on top, so a source only has to produce blocks — kept in memory as
+// packed (memorySource) or read from an on-disk SSTable and parsed in
+// place (met/internal/durable).
 type BlockSource interface {
 	// NumBlocks returns the number of data blocks.
 	NumBlocks() int
 	// FirstKey returns the first key of block i (the sparse index).
 	FirstKey(i int) string
-	// LoadBlock materializes block i. The engine caches the result, so a
-	// source may read and decode from disk on every call.
+	// LoadBlock returns block i. The engine caches the result, so a
+	// source may read and parse it from disk on every call.
 	LoadBlock(i int) (*Block, error)
 	// MayContain is a fast membership filter: false means the key is
 	// definitely absent and no block needs to be read (bloom filter);
@@ -91,59 +61,90 @@ func NewStoreFile(id uint64, meta FileMeta, src BlockSource) *StoreFile {
 }
 
 // memorySource is the heap-resident BlockSource used by the memory
-// backend: blocks live in RAM and every key "may" be present.
+// backend: packed blocks live in RAM and every key "may" be present.
 type memorySource struct {
 	blocks []*Block
 }
 
 func (m *memorySource) NumBlocks() int                  { return len(m.blocks) }
-func (m *memorySource) FirstKey(i int) string           { return m.blocks[i].entries[0].Key }
+func (m *memorySource) FirstKey(i int) string           { return string(m.blocks[i].key(0)) }
 func (m *memorySource) LoadBlock(i int) (*Block, error) { return m.blocks[i], nil }
 func (m *memorySource) MayContain(key string) bool      { return true }
 
-// PackBlocks partitions sorted entries (key asc, timestamp desc) into
-// blocks of at most blockSize bytes and returns them with the file
-// metadata. A block only ends at a key change, so all versions of one
-// key share a block (which may then exceed blockSize): the sparse index
-// maps a key to the one block that can hold it, and a key's newer
-// versions left at the end of the previous block would be unreachable. It panics when entries are unsorted: files are only ever
-// built from sorted iterators, so unsorted input means engine corruption.
-// Both the memory backend and the durable SSTable writer build on it so
-// the two formats pack identically.
-func PackBlocks(entries []Entry, blockSize int) ([]*Block, FileMeta) {
+// StreamBlocks drains a sorted iterator (key asc, timestamp desc) into
+// encoded blocks of about blockSize bytes, handing each finished block to
+// emit in order, and returns the file metadata (Bytes is Σ Entry.Size;
+// MaxTS is at least maxTSFloor). newKey, when non-nil, sees every
+// distinct key once, in order. A block only ends at a key change, so all
+// versions of one key share a block (which may then exceed blockSize):
+// the sparse index maps a key to the one block that can hold it, and a
+// key's newer versions left at the end of the previous block would be
+// unreachable. Every file build — both backends, flushes and compactions
+// — streams through here, so the formats pack identically and no build
+// holds its whole output in memory.
+//
+// An error from emit or from the iterator (see Err on the engine's
+// iterators) is returned and the build must be abandoned. StreamBlocks
+// panics when entries are unsorted: files are only ever built from
+// sorted iterators, so unsorted input means engine corruption.
+func StreamBlocks(it Iterator, blockSize int, maxTSFloor uint64, emit func(*Block) error, newKey func(key string)) (FileMeta, error) {
 	if blockSize <= 0 {
 		blockSize = 64 * 1024
 	}
-	var blocks []*Block
-	var meta FileMeta
-	var cur *Block
-	for i, e := range entries {
-		if i > 0 && less(e, entries[i-1]) {
-			panic(fmt.Sprintf("kv: unsorted entries packing blocks (%q after %q)", e.Key, entries[i-1].Key))
+	meta := FileMeta{MaxTS: maxTSFloor}
+	var cur blockBuilder
+	var prev Entry
+	for it.Next() {
+		e := it.Entry()
+		keyChange := meta.Entries == 0 || e.Key != prev.Key
+		if meta.Entries > 0 {
+			if less(e, prev) {
+				panic(fmt.Sprintf("kv: unsorted entries packing blocks (%q after %q)", e.Key, prev.Key))
+			}
+			if keyChange && cur.bytes+e.Size() > blockSize {
+				if err := emit(cur.finish()); err != nil {
+					return meta, err
+				}
+			}
+		} else {
+			meta.MinKey = e.Key
 		}
-		if cur == nil || (cur.bytes+e.Size() > blockSize && e.Key != entries[i-1].Key) {
-			cur = &Block{}
-			blocks = append(blocks, cur)
+		if keyChange && newKey != nil {
+			newKey(e.Key)
 		}
-		cur.entries = append(cur.entries, e)
-		cur.bytes += e.Size()
+		cur.add(e, blockSize)
 		meta.Bytes += e.Size()
 		meta.Entries++
 		if e.Timestamp > meta.MaxTS {
 			meta.MaxTS = e.Timestamp
 		}
+		prev = e
+	}
+	if err := iterErr(it); err != nil {
+		return meta, err
 	}
 	if meta.Entries > 0 {
-		meta.MinKey = entries[0].Key
-		meta.MaxKey = entries[len(entries)-1].Key
+		meta.MaxKey = prev.Key
+		if err := emit(cur.finish()); err != nil {
+			return meta, err
+		}
 	}
-	return blocks, meta
+	return meta, nil
 }
 
-// BuildStoreFile packs sorted entries into an in-memory store file.
-func BuildStoreFile(id uint64, entries []Entry, blockSize int) *StoreFile {
-	blocks, meta := PackBlocks(entries, blockSize)
-	return NewStoreFile(id, meta, &memorySource{blocks: blocks})
+// BuildStoreFile streams a sorted iterator into an in-memory store file
+// (the memory backend's Create): the file's recorded max timestamp is at
+// least maxTSFloor, and an iterator error abandons the build.
+func BuildStoreFile(id uint64, it Iterator, blockSize int, maxTSFloor uint64) (*StoreFile, error) {
+	src := &memorySource{}
+	meta, err := StreamBlocks(it, blockSize, maxTSFloor, func(b *Block) error {
+		src.blocks = append(src.blocks, b)
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewStoreFile(id, meta, src), nil
 }
 
 // ID returns the file's unique identifier.
@@ -208,11 +209,8 @@ func (f *StoreFile) get(key string, cache *BlockCache, stats *storeStats, tr *ob
 	if err != nil {
 		return Entry{}, false, err
 	}
-	// Entries are (key asc, ts desc); find first entry >= (key, maxTS).
-	probe := Entry{Key: key, Timestamp: ^uint64(0)}
-	i := sort.Search(len(b.entries), func(i int) bool { return !less(b.entries[i], probe) })
-	if i < len(b.entries) && b.entries[i].Key == key {
-		return b.entries[i], true, nil
+	if i := b.seek(key); i < b.Len() && string(b.key(i)) == key {
+		return b.Entry(i), true, nil
 	}
 	return Entry{}, false, nil
 }
@@ -276,8 +274,7 @@ func (f *StoreFile) iteratorFrom(start string, cache *BlockCache, stats *storeSt
 		return it
 	}
 	it.cur = cur
-	probe := Entry{Key: start, Timestamp: ^uint64(0)}
-	it.idx = sort.Search(len(it.cur.entries), func(i int) bool { return !less(it.cur.entries[i], probe) }) - 1
+	it.idx = cur.seek(start) - 1
 	return it
 }
 
@@ -301,7 +298,7 @@ func (it *fileIter) Next() bool {
 		if it.block >= len(it.f.firstKeys) {
 			return false
 		}
-		if it.cur == nil || it.idx+1 >= len(it.cur.entries) {
+		if it.cur == nil || it.idx+1 >= it.cur.Len() {
 			it.block++
 			if it.block >= len(it.f.firstKeys) {
 				return false
@@ -314,7 +311,7 @@ func (it *fileIter) Next() bool {
 			}
 			it.cur = cur
 			it.idx = -1
-			if len(it.cur.entries) == 0 {
+			if it.cur.Len() == 0 {
 				continue
 			}
 		}
@@ -323,7 +320,9 @@ func (it *fileIter) Next() bool {
 	}
 }
 
-func (it *fileIter) Entry() Entry { return it.cur.entries[it.idx] }
+// Entry materializes the current entry; its value aliases the block and
+// is read-only.
+func (it *fileIter) Entry() Entry { return it.cur.Entry(it.idx) }
 
 // Err reports a block-load failure encountered during iteration.
 func (it *fileIter) Err() error { return it.err }

@@ -177,9 +177,11 @@ func (s *Store) compactFilesLocked(sel CompactionSelection) (CompactionResult, e
 		return res, nil // nothing to merge
 	}
 
-	// Phase 2: merge with no engine lock held. Reads bypass the block
-	// cache (compaction must not evict the serving working set) and are
-	// charged to the background I/O budget up front, file by file.
+	// Phase 2: merge with no engine lock held, streaming the merged
+	// entries straight into the new file. Reads bypass the block cache
+	// (compaction must not evict the serving working set) and are
+	// charged to the background I/O budget up front, file by file; the
+	// output is charged a block's worth at a time as it is written.
 	budget := s.wiring.Load().budget
 	sources := make([]Iterator, 0, len(run))
 	var maxTSFloor uint64
@@ -194,25 +196,13 @@ func (s *Store) compactFilesLocked(sel CompactionSelection) (CompactionResult, e
 		}
 	}
 	res.FilesIn = len(run)
-	it := newDedupIterator(newMergeIterator(sources), dropTombstones)
-	var entries []Entry
-	var outBytes int
-	for it.Next() {
-		e := it.Entry()
-		entries = append(entries, e)
-		outBytes += e.Size()
-	}
-	for _, src := range sources {
-		if err := iterErr(src); err != nil {
-			return res, fmt.Errorf("kv: compact read: %w", err)
-		}
-	}
+	out := newDedupIterator(newMergeIterator(sources), dropTombstones)
 	if budget != nil {
-		budget.WaitBackground(outBytes)
+		out = &chargedIterator{in: out, budget: budget, chunk: s.cfg.BlockBytes}
 	}
-	merged, err := s.createFileWithFloor(nextFileID(), entries, maxTSFloor)
+	merged, err := s.createFile(nextFileID(), out, maxTSFloor)
 	if err != nil {
-		return res, fmt.Errorf("kv: compact write: %w", err)
+		return res, fmt.Errorf("kv: compact: %w", err)
 	}
 	res.BytesOut = int64(merged.Bytes())
 
@@ -395,3 +385,35 @@ func (s *Store) maybeStall() {
 		s.stats.stallNanos.Add(int64(time.Since(start)))
 	}
 }
+
+// chargedIterator charges the background I/O budget for a compaction's
+// output as it streams into the file being built: every chunk bytes of
+// entries (one block's worth) wait for budget before the writer sees
+// them, and the remainder is charged at the end of the stream.
+type chargedIterator struct {
+	in      Iterator
+	budget  IOBudget
+	chunk   int
+	pending int
+}
+
+func (c *chargedIterator) Next() bool {
+	if !c.in.Next() {
+		if c.pending > 0 {
+			c.budget.WaitBackground(c.pending)
+			c.pending = 0
+		}
+		return false
+	}
+	c.pending += c.in.Entry().Size()
+	if c.pending >= c.chunk {
+		c.budget.WaitBackground(c.pending)
+		c.pending = 0
+	}
+	return true
+}
+
+func (c *chargedIterator) Entry() Entry { return c.in.Entry() }
+
+// Err reports a failure of the underlying stream.
+func (c *chargedIterator) Err() error { return iterErr(c.in) }

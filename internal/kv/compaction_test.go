@@ -33,8 +33,11 @@ func newGatedBackend() *gatedBackend {
 
 func (g *gatedBackend) WAL() WAL { return nil }
 
-func (g *gatedBackend) Create(id uint64, entries []Entry, blockBytes int) (*StoreFile, error) {
-	f := BuildStoreFile(id, entries, blockBytes)
+func (g *gatedBackend) Create(id uint64, it Iterator, blockBytes int, maxTSFloor uint64) (*StoreFile, error) {
+	f, err := BuildStoreFile(id, it, blockBytes, maxTSFloor)
+	if err != nil {
+		return nil, err
+	}
 	g.mu.Lock()
 	g.files[id] = f
 	g.mu.Unlock()

@@ -2,11 +2,25 @@ package kv
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"met/internal/sim"
 )
+
+// parseEntries parses a payload and materializes every entry.
+func parseEntries(payload []byte) ([]Entry, error) {
+	b, err := ParseBlock(payload)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Entry, b.Len())
+	for i := range out {
+		out[i] = b.Entry(i)
+	}
+	return out, nil
+}
 
 func TestBlockCodecRoundTrip(t *testing.T) {
 	entries := []Entry{
@@ -14,7 +28,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		{Key: "b", Value: nil, Timestamp: 2, Tombstone: true},
 		{Key: "c", Value: []byte("long value with spaces"), Timestamp: 1 << 40},
 	}
-	got, err := DecodeBlock(EncodeBlock(entries))
+	got, err := parseEntries(EncodeBlock(entries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +43,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Empty block round-trips too.
-	if got, err := DecodeBlock(EncodeBlock(nil)); err != nil || len(got) != 0 {
+	if got, err := parseEntries(EncodeBlock(nil)); err != nil || len(got) != 0 {
 		t.Fatalf("empty block: %v, %v", got, err)
 	}
 }
@@ -37,6 +51,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 func TestBlockCodecProperty(t *testing.T) {
 	err := quick.Check(func(keys []string, vals [][]byte, seed uint16) bool {
 		rng := sim.NewRNG(uint64(seed))
+		sort.Strings(keys) // blocks hold entries in key order
 		var entries []Entry
 		for i, k := range keys {
 			var v []byte
@@ -47,7 +62,7 @@ func TestBlockCodecProperty(t *testing.T) {
 				Key: k, Value: v, Timestamp: rng.Uint64() >> 1, Tombstone: rng.Intn(2) == 0,
 			})
 		}
-		got, err := DecodeBlock(EncodeBlock(entries))
+		got, err := parseEntries(EncodeBlock(entries))
 		if err != nil || len(got) != len(entries) {
 			return false
 		}
@@ -73,97 +88,82 @@ func TestDecodeBlockCorrupt(t *testing.T) {
 		append(good, 0xff), // trailing garbage
 		{0x05},             // claims 5 entries, has none
 		{0x01, 0x00, 0xff}, // bogus key length
+		EncodeBlock([]Entry{{Key: "b", Timestamp: 1}, {Key: "a", Timestamp: 2}}), // keys out of order
 	}
 	for i, c := range cases {
-		if _, err := DecodeBlock(c); err == nil {
+		if _, err := ParseBlock(c); err == nil {
 			t.Errorf("case %d: corrupt block decoded", i)
 		}
 	}
 }
 
+// TestFileCodecRoundTrip: a store file's encoded blocks are its whole
+// content (the durable backend writes exactly these payloads). Parsing
+// them back yields a file that serves every key, and each parsed block
+// costs the cache the same Σ Entry.Size as the packed one, so the cache
+// holds the same blocks whichever backend produced them.
 func TestFileCodecRoundTrip(t *testing.T) {
 	var entries []Entry
 	for i := 0; i < 500; i++ {
-		entries = append(entries, Entry{
-			Key:       fmt.Sprintf("key%04d", i),
-			Value:     []byte(fmt.Sprintf("value-%d", i)),
-			Timestamp: uint64(i + 1),
-		})
+		e := Entry{Key: fmt.Sprintf("key%04d", i/2), Timestamp: uint64(1000 - i)}
+		switch i % 5 {
+		case 0:
+			e.Tombstone = true
+		case 1: // empty value
+		default:
+			e.Value = []byte(fmt.Sprintf("value-%d", i))
+		}
+		entries = append(entries, e)
 	}
-	f := BuildStoreFile(9, entries, 512)
+	f := buildFile(9, entries, 512)
 	if f.NumBlocks() < 2 {
 		t.Fatalf("want multiple blocks, got %d", f.NumBlocks())
 	}
-	wire, err := EncodeFile(f)
-	if err != nil {
-		t.Fatal(err)
+	src := &memorySource{}
+	i := 0
+	for bi := 0; bi < f.NumBlocks(); bi++ {
+		packed, _ := f.src.LoadBlock(bi)
+		parsed, err := ParseBlock(packed.Payload())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for j := 0; j < packed.Len(); j++ {
+			want += entries[i].Size()
+			i++
+		}
+		if packed.Bytes() != want || parsed.Bytes() != want {
+			t.Fatalf("block %d: packed %d, parsed %d bytes; Σ Entry.Size = %d", bi, packed.Bytes(), parsed.Bytes(), want)
+		}
+		src.blocks = append(src.blocks, parsed)
 	}
-	back, err := DecodeFile(10, 512, wire)
-	if err != nil {
-		t.Fatal(err)
+	if i != len(entries) {
+		t.Fatalf("blocks hold %d entries, want %d", i, len(entries))
 	}
-	if back.Entries() != f.Entries() {
-		t.Fatalf("entries %d != %d", back.Entries(), f.Entries())
-	}
-	minK, maxK := back.KeyRange()
-	wantMin, wantMax := f.KeyRange()
-	if minK != wantMin || maxK != wantMax {
-		t.Fatalf("range [%s,%s] != [%s,%s]", minK, maxK, wantMin, wantMax)
-	}
-	// Every key findable in the decoded file.
-	for i := 0; i < 500; i += 37 {
-		key := fmt.Sprintf("key%04d", i)
-		e, found, _ := back.get(key, nil, nil, nil)
-		if !found || string(e.Value) != fmt.Sprintf("value-%d", i) {
-			t.Fatalf("key %s lost in round trip", key)
+	back := NewStoreFile(10, f.meta, src)
+	for i := 0; i < len(entries); i += 2 {
+		want := entries[i] // newest version of its key
+		e, found, err := back.get(want.Key, nil, nil, nil)
+		if err != nil || !found || e.Timestamp != want.Timestamp || e.Tombstone != want.Tombstone || string(e.Value) != string(want.Value) {
+			t.Fatalf("get %s = %v, %v, %v; want %v", want.Key, e, found, err, want)
 		}
 	}
 }
 
-func TestDecodeFileCorruption(t *testing.T) {
-	f := BuildStoreFile(1, []Entry{{Key: "k", Value: []byte("v"), Timestamp: 1}}, 64)
-	wire, err := EncodeFile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bad magic.
-	bad := append([]byte(nil), wire...)
-	bad[0] ^= 0xff
-	if _, err := DecodeFile(2, 64, bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Bad version.
-	bad = append([]byte(nil), wire...)
-	bad[4] = 99
-	if _, err := DecodeFile(2, 64, bad); err == nil {
-		t.Fatal("bad version accepted")
-	}
-	// Flipped payload bit breaks the CRC.
-	bad = append([]byte(nil), wire...)
-	bad[len(bad)-6] ^= 0x01
-	if _, err := DecodeFile(2, 64, bad); err == nil {
-		t.Fatal("CRC violation accepted")
-	}
-	// Truncated file.
-	if _, err := DecodeFile(2, 64, wire[:len(wire)-3]); err == nil {
-		t.Fatal("truncated file accepted")
-	}
-	if _, err := DecodeFile(2, 64, nil); err == nil {
-		t.Fatal("empty file accepted")
-	}
-}
-
+// TestFileCodecEmptyFile: an empty stream (a major compaction that
+// dropped every entry) packs no block, yet the file keeps the max
+// timestamp floor it was built with.
 func TestFileCodecEmptyFile(t *testing.T) {
-	f := BuildStoreFile(1, nil, 64)
-	wire, err := EncodeFile(f)
-	if err != nil {
-		t.Fatal(err)
+	emitted := 0
+	meta, err := StreamBlocks(sliceIter(nil), 64, 42, func(*Block) error {
+		emitted++
+		return nil
+	}, nil)
+	if err != nil || emitted != 0 || meta.Entries != 0 || meta.Bytes != 0 || meta.MaxTS != 42 {
+		t.Fatalf("empty stream: meta %+v, %d blocks, err %v", meta, emitted, err)
 	}
-	back, err := DecodeFile(2, 64, wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Entries() != 0 {
-		t.Fatalf("entries = %d", back.Entries())
+	f, err := BuildStoreFile(1, sliceIter(nil), 64, 42)
+	if err != nil || f.NumBlocks() != 0 || f.Entries() != 0 || f.MaxTimestamp() != 42 {
+		t.Fatalf("empty file: %v, %v", f, err)
 	}
 }

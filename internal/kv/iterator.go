@@ -9,6 +9,7 @@ import "container/heap"
 // lower-indexed (newer) source.
 type mergeIterator struct {
 	h       mergeHeap
+	sources []Iterator
 	current Entry
 	started bool
 }
@@ -39,7 +40,7 @@ func (h *mergeHeap) Pop() any     { old := *h; n := len(old); s := old[n-1]; *h 
 // newMergeIterator builds a merged stream; sources must be ordered
 // newest-first so version shadowing resolves correctly on ties.
 func newMergeIterator(sources []Iterator) Iterator {
-	m := &mergeIterator{}
+	m := &mergeIterator{sources: sources}
 	for rank, it := range sources {
 		if it.Next() {
 			m.h = append(m.h, &mergeSource{it: it, entry: it.Entry(), rank: rank})
@@ -66,6 +67,17 @@ func (m *mergeIterator) Next() bool {
 }
 
 func (m *mergeIterator) Entry() Entry { return m.current }
+
+// Err reports the first failure among the sources (a block that could
+// not be read ends its source early, so the merged stream is incomplete).
+func (m *mergeIterator) Err() error {
+	for _, src := range m.sources {
+		if err := iterErr(src); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // dedupIterator collapses a (key asc, ts desc) stream to the newest
 // version per key, optionally dropping tombstones (major compaction and
@@ -113,6 +125,9 @@ func (d *dedupIterator) Next() bool {
 }
 
 func (d *dedupIterator) Entry() Entry { return d.current }
+
+// Err reports a failure of the underlying stream.
+func (d *dedupIterator) Err() error { return iterErr(d.in) }
 
 // limitIterator stops a stream after limit entries; used for scans.
 type limitIterator struct {

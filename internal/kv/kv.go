@@ -23,7 +23,9 @@
 // flushes and compactions write real SSTables, mutations are logged to
 // an fsynced WAL before acknowledgement, and OpenStore recovers both on
 // restart. The engine code path — cache, index, iterators, compaction —
-// is identical either way.
+// is identical either way, and so is the block representation: blocks
+// stay encoded (Block, ParseBlock) from disk or memory to the caller,
+// and every file build streams a sorted iterator through StreamBlocks.
 //
 // # Concurrency model
 //

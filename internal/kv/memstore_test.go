@@ -144,12 +144,40 @@ func TestMemstorePropertySorted(t *testing.T) {
 	}
 }
 
+// sliceIterator walks an entry slice as given, sorted or not (the
+// packer's own order check is under test too).
+type sliceIterator struct {
+	entries []Entry
+	i       int
+}
+
+func sliceIter(entries []Entry) Iterator { return &sliceIterator{entries: entries, i: -1} }
+
+func (s *sliceIterator) Next() bool {
+	if s.i+1 >= len(s.entries) {
+		return false
+	}
+	s.i++
+	return true
+}
+
+func (s *sliceIterator) Entry() Entry { return s.entries[s.i] }
+
+// buildFile packs sorted entries into an in-memory store file.
+func buildFile(id uint64, entries []Entry, blockSize int) *StoreFile {
+	f, err := BuildStoreFile(id, sliceIter(entries), blockSize, 0)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func TestBuildStoreFileBlocks(t *testing.T) {
 	var entries []Entry
 	for i := 0; i < 100; i++ {
 		entries = append(entries, Entry{Key: fmt.Sprintf("k%03d", i), Value: make([]byte, 48), Timestamp: uint64(i + 1)})
 	}
-	f := BuildStoreFile(1, entries, 256)
+	f := buildFile(1, entries, 256)
 	if f.Entries() != 100 {
 		t.Fatalf("entries = %d", f.Entries())
 	}
@@ -180,11 +208,11 @@ func TestBuildStoreFileUnsortedPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	BuildStoreFile(1, []Entry{{Key: "b", Timestamp: 1}, {Key: "a", Timestamp: 2}}, 64)
+	buildFile(1, []Entry{{Key: "b", Timestamp: 1}, {Key: "a", Timestamp: 2}}, 64)
 }
 
 func TestStoreFileEmpty(t *testing.T) {
-	f := BuildStoreFile(1, nil, 64)
+	f := buildFile(1, nil, 64)
 	if f.Entries() != 0 || f.NumBlocks() != 0 {
 		t.Fatal("empty file not empty")
 	}
@@ -202,7 +230,7 @@ func TestStoreFileIteratorFrom(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		entries = append(entries, Entry{Key: fmt.Sprintf("k%02d", i*2), Timestamp: uint64(i + 1)})
 	}
-	f := BuildStoreFile(1, entries, 200)
+	f := buildFile(1, entries, 200)
 	// Exact key.
 	it := f.iteratorFrom("k10", nil, nil)
 	if !it.Next() || it.Entry().Key != "k10" {
@@ -298,8 +326,8 @@ func TestBlockCacheHitRatio(t *testing.T) {
 }
 
 func TestMergeIteratorInterleaves(t *testing.T) {
-	a := BuildStoreFile(1, []Entry{{Key: "a", Timestamp: 1}, {Key: "c", Timestamp: 2}}, 64)
-	b := BuildStoreFile(2, []Entry{{Key: "b", Timestamp: 3}, {Key: "d", Timestamp: 4}}, 64)
+	a := buildFile(1, []Entry{{Key: "a", Timestamp: 1}, {Key: "c", Timestamp: 2}}, 64)
+	b := buildFile(2, []Entry{{Key: "b", Timestamp: 3}, {Key: "d", Timestamp: 4}}, 64)
 	it := newMergeIterator([]Iterator{a.iterator(nil, nil), b.iterator(nil, nil)})
 	var keys []string
 	for it.Next() {
@@ -317,8 +345,8 @@ func TestMergeIteratorInterleaves(t *testing.T) {
 }
 
 func TestMergeIteratorVersionOrder(t *testing.T) {
-	newer := BuildStoreFile(1, []Entry{{Key: "k", Value: []byte("new"), Timestamp: 9}}, 64)
-	older := BuildStoreFile(2, []Entry{{Key: "k", Value: []byte("old"), Timestamp: 3}}, 64)
+	newer := buildFile(1, []Entry{{Key: "k", Value: []byte("new"), Timestamp: 9}}, 64)
+	older := buildFile(2, []Entry{{Key: "k", Value: []byte("old"), Timestamp: 3}}, 64)
 	it := newMergeIterator([]Iterator{newer.iterator(nil, nil), older.iterator(nil, nil)})
 	if !it.Next() || string(it.Entry().Value) != "new" {
 		t.Fatalf("first version = %v", it.Entry())
@@ -329,7 +357,7 @@ func TestMergeIteratorVersionOrder(t *testing.T) {
 }
 
 func TestDedupDropsTombstones(t *testing.T) {
-	f := BuildStoreFile(1, []Entry{
+	f := buildFile(1, []Entry{
 		{Key: "a", Timestamp: 2, Tombstone: true},
 		{Key: "a", Timestamp: 1, Value: []byte("old")},
 		{Key: "b", Timestamp: 3, Value: []byte("live")},

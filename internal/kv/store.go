@@ -29,19 +29,28 @@ func bumpFileID(floor uint64) {
 }
 
 // StorageBackend persists a store's immutable files and provides its
-// write-ahead log. The engine calls it with sorted entries at flush and
-// compaction time and asks it to enumerate surviving files at open time;
-// everything else (caching, indexes, iterators, recovery ordering) is
-// engine-side. The memory backend is implicit (a nil backend); the
+// write-ahead log. The engine streams sorted entries into it at flush
+// and compaction time and asks it to enumerate surviving files at open
+// time; everything else (caching, indexes, iterators, recovery ordering)
+// is engine-side. The memory backend is implicit (a nil backend); the
 // durable implementation lives in met/internal/durable.
 type StorageBackend interface {
 	// WAL returns the backend's write-ahead log, or nil when the backend
 	// does not log (Config.WAL then still applies).
 	WAL() WAL
-	// Create persists sorted entries as immutable file id and returns
-	// its reader. The file must be durable when Create returns, because
-	// the engine truncates the WAL after a flush.
-	Create(id uint64, entries []Entry, blockBytes int) (*StoreFile, error)
+	// Create drains the sorted iterator it into immutable file id and
+	// returns its reader. Blocks are packed by StreamBlocks as the
+	// entries arrive, so no build holds its whole output in memory. The
+	// file's recorded max timestamp must be at least maxTSFloor:
+	// compactions pass the maximum of their inputs, because a merge that
+	// drops the newest version of a key (a shadowed put, an elided
+	// tombstone) must not regress the clock a store seeded from the file
+	// alone (snapshot restore, replica failover) resumes from — a
+	// regressed clock breaks the dense-timestamp accounting failover
+	// uses to count lost writes. An iterator error must abort the build
+	// with nothing left behind. The file must be durable when Create
+	// returns, because the engine truncates the WAL after a flush.
+	Create(id uint64, it Iterator, blockBytes int, maxTSFloor uint64) (*StoreFile, error)
 	// Remove deletes a file retired by a compaction, releasing its
 	// reader. The engine calls it only once no in-flight iteration can
 	// still reference the file (see drainRetired), so implementations
@@ -51,21 +60,6 @@ type StorageBackend interface {
 	Load(blockBytes int) ([]*StoreFile, error)
 	// Close releases the backend's resources (open files, WAL).
 	Close() error
-}
-
-// TimestampFloorCreator is an optional StorageBackend extension for
-// backends that persist a per-file max-timestamp property. Compactions
-// use it to pass the maximum timestamp of their input files: a merge
-// that drops the newest version of a key (a shadowed put, an elided
-// tombstone in a major compaction) must not regress the output file's
-// recorded clock, because a store seeded from that file alone (snapshot
-// restore, replica failover) resumes its logical clock from the
-// property — and a regressed clock breaks the dense-timestamp
-// accounting failover uses to count lost writes.
-type TimestampFloorCreator interface {
-	// CreateWithMaxTS is Create with the file's recorded max timestamp
-	// raised to at least maxTS.
-	CreateWithMaxTS(id uint64, entries []Entry, blockBytes int, maxTS uint64) (*StoreFile, error)
 }
 
 // Config holds the engine knobs the paper's node profiles tune.
@@ -719,7 +713,9 @@ func (s *Store) ApplyReplayed(entries []Entry) (int, error) {
 
 // Get returns the newest live value for key, or ErrNotFound. Gets run
 // concurrently with each other and with Scans; they only exclude
-// writers.
+// writers. The engine reads the value in place: store-file entries alias
+// their cached block's payload and are read-only, so Get copies the
+// value out before returning it and the caller owns the result.
 func (s *Store) Get(key string) ([]byte, error) {
 	return s.GetTraced(key, nil)
 }
@@ -763,7 +759,9 @@ func (s *Store) GetTraced(key string, tr *obs.Trace) ([]byte, error) {
 // immutable file stack; the iteration itself runs lock-free, so long
 // scans never stall writers. The snapshot is consistent at the moment it
 // is taken; entries written afterwards may or may not be observed, which
-// matches HBase's scanner semantics.
+// matches HBase's scanner semantics. As with Get, entries are read in
+// place from cached blocks (read-only) and every returned value is a
+// copy the caller owns.
 func (s *Store) Scan(start, end string, limit int) ([]Entry, error) {
 	return s.ScanTraced(start, end, limit, nil)
 }
@@ -833,12 +831,7 @@ func (s *Store) flushLocked() error {
 		return nil
 	}
 	flushStart := time.Now()
-	entries := make([]Entry, 0, s.mem.Len())
-	it := s.mem.Iterator()
-	for it.Next() {
-		entries = append(entries, it.Entry())
-	}
-	f, err := s.createFile(nextFileID(), entries)
+	f, err := s.createFile(nextFileID(), s.mem.Iterator(), 0)
 	if err != nil {
 		// Keep the memstore: the data stays readable and logged; the
 		// next flush retries.
@@ -873,36 +866,25 @@ func (s *Store) flushLocked() error {
 	return nil
 }
 
-// createFile persists sorted entries through the backend (or in memory).
-func (s *Store) createFile(id uint64, entries []Entry) (*StoreFile, error) {
-	return s.createFileWithFloor(id, entries, 0)
-}
-
-// createFileWithFloor is createFile with the file's recorded max
-// timestamp raised to at least maxTSFloor — compactions pass the
-// maximum of their inputs so dropping a newest-version entry cannot
-// regress the output's clock (see TimestampFloorCreator). Backends
-// without the extension get an in-memory clamp, which preserves the
-// clock for the life of this process.
-func (s *Store) createFileWithFloor(id uint64, entries []Entry, maxTSFloor uint64) (*StoreFile, error) {
+// createFile streams a sorted iterator into a new file through the
+// backend (or in memory), with the file's recorded max timestamp raised
+// to at least maxTSFloor (see StorageBackend.Create). A build whose
+// input failed is never published, whatever the backend reported.
+func (s *Store) createFile(id uint64, it Iterator, maxTSFloor uint64) (*StoreFile, error) {
 	var f *StoreFile
 	var err error
 	if s.backend != nil {
-		if fc, ok := s.backend.(TimestampFloorCreator); ok && maxTSFloor > 0 {
-			f, err = fc.CreateWithMaxTS(id, entries, s.cfg.BlockBytes, maxTSFloor)
-		} else {
-			f, err = s.backend.Create(id, entries, s.cfg.BlockBytes)
-		}
+		f, err = s.backend.Create(id, it, s.cfg.BlockBytes, maxTSFloor)
 	} else {
-		f = BuildStoreFile(id, entries, s.cfg.BlockBytes)
+		f, err = BuildStoreFile(id, it, s.cfg.BlockBytes, maxTSFloor)
 	}
-	if err != nil {
-		return nil, err
+	if rerr := iterErr(it); rerr != nil {
+		if err == nil {
+			s.discardFile(f)
+		}
+		return nil, fmt.Errorf("read: %w", rerr)
 	}
-	if f.meta.MaxTS < maxTSFloor {
-		f.meta.MaxTS = maxTSFloor
-	}
-	return f, nil
+	return f, err
 }
 
 // Compact merges every store file (and nothing from the memstore) into a
@@ -949,18 +931,9 @@ func (s *Store) compactLocked(major bool) error {
 		}
 	}
 	it := newDedupIterator(newMergeIterator(sources), major)
-	var entries []Entry
-	for it.Next() {
-		entries = append(entries, it.Entry())
-	}
-	for _, src := range sources {
-		if err := iterErr(src); err != nil {
-			return fmt.Errorf("kv: compact read: %w", err)
-		}
-	}
-	merged, err := s.createFileWithFloor(nextFileID(), entries, maxTSFloor)
+	merged, err := s.createFile(nextFileID(), it, maxTSFloor)
 	if err != nil {
-		return fmt.Errorf("kv: compact write: %w", err)
+		return fmt.Errorf("kv: compact: %w", err)
 	}
 	old := s.files
 	s.files = []*StoreFile{merged}

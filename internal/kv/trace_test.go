@@ -26,9 +26,8 @@ func slowFile(t *testing.T, delay time.Duration) *StoreFile {
 		{Key: "a", Value: []byte("1"), Timestamp: 1},
 		{Key: "b", Value: []byte("2"), Timestamp: 1},
 	}
-	blocks, meta := PackBlocks(entries, 1<<20)
-	src := &delaySource{BlockSource: &memorySource{blocks: blocks}, delay: delay}
-	return NewStoreFile(1, meta, src)
+	f := buildFile(1, entries, 1<<20)
+	return NewStoreFile(1, f.meta, &delaySource{BlockSource: f.src, delay: delay})
 }
 
 // TestTraceCapturesSlowSSTableRead injects a slow block load and checks

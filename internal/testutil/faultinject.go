@@ -183,24 +183,11 @@ func (f *FlakyBackend) point(op string) string { return f.Prefix + "." + op }
 func (f *FlakyBackend) WAL() kv.WAL { return f.Inner.WAL() }
 
 // Create implements kv.StorageBackend with create-point injection.
-func (f *FlakyBackend) Create(id uint64, entries []kv.Entry, blockBytes int) (*kv.StoreFile, error) {
+func (f *FlakyBackend) Create(id uint64, it kv.Iterator, blockBytes int, maxTS uint64) (*kv.StoreFile, error) {
 	if err := f.Inj.Err(f.point("create")); err != nil {
 		return nil, err
 	}
-	return f.Inner.Create(id, entries, blockBytes)
-}
-
-// CreateWithMaxTS implements kv.TimestampFloorCreator when the inner
-// backend does, sharing the create injection point; otherwise the floor
-// is dropped and the engine falls back to its in-memory clamp.
-func (f *FlakyBackend) CreateWithMaxTS(id uint64, entries []kv.Entry, blockBytes int, maxTS uint64) (*kv.StoreFile, error) {
-	if err := f.Inj.Err(f.point("create")); err != nil {
-		return nil, err
-	}
-	if fc, ok := f.Inner.(kv.TimestampFloorCreator); ok {
-		return fc.CreateWithMaxTS(id, entries, blockBytes, maxTS)
-	}
-	return f.Inner.Create(id, entries, blockBytes)
+	return f.Inner.Create(id, it, blockBytes, maxTS)
 }
 
 // Remove implements kv.StorageBackend with remove-point injection.
